@@ -95,11 +95,9 @@ def parse_kv_file(path) -> dict:
 
 
 def _resolve(defaults: dict, converters: dict, file_values: dict, flag_values: dict):
-    """Apply defaults < config file < CLI flags, rejecting unknown file keys."""
+    """Apply defaults < config file < CLI flags; file keys must be in `converters`."""
     resolved = dict(defaults)
     for key, raw in file_values.items():
-        if key not in converters:
-            raise CliUsageError(f"unknown config key {key!r}")
         try:
             resolved[key] = converters[key](raw)
         except (ValueError, TypeError):
@@ -142,15 +140,20 @@ def _build_env_config(args, file_values) -> EnvConfig:
     return EnvConfig(**resolved)
 
 
+def _kv_lines(obj) -> list[str]:
+    """`key=value` lines for a dataclass's fields, sorted; tuples comma-joined."""
+    lines = []
+    for key, value in sorted(dataclasses.asdict(obj).items()):
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key}={value}")
+    return lines
+
+
 def _write_snapshot(out_dir, sections: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config.txt")
-    lines = []
-    for obj in sections.values():
-        for key, value in sorted(dataclasses.asdict(obj).items()):
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{key}={value}")
+    lines = [line for obj in sections.values() for line in _kv_lines(obj)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -242,13 +245,13 @@ def cmd_train_dqn(args) -> int:
     net.save_model(final, final_path, hp.optimizer)
     net.save_model(best.params, best_path, hp.optimizer)
     meta_path = best_path + ".meta"
+    lines = [
+        f"training_step={best.training_step}",
+        f"mean_validation_reward={best.mean_validation_reward!r}",
+        *_kv_lines(hp),
+    ]
     with open(meta_path, "w") as fh:
-        fh.write(f"training_step={best.training_step}\n")
-        fh.write(f"mean_validation_reward={best.mean_validation_reward!r}\n")
-        for key, value in sorted(dataclasses.asdict(hp).items()):
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            fh.write(f"{key}={value}\n")
+        fh.write("\n".join(lines) + "\n")
     metrics_mod.write_csv(run, args.out)
     snapshot = _write_snapshot(args.out, {"env": config, "hyperparams": hp})
     _print_accuracy("training", run)
@@ -262,19 +265,38 @@ def cmd_train_dqn(args) -> int:
     return 0
 
 
-def _sniff_model(path):
-    """Return ('mlp', params) or ('qtable', table) based on the file header."""
+def _load_model(path, config: EnvConfig):
+    """Return ('mlp', params) or ('qtable', table) based on the file header,
+    refusing a model whose shape does not fit the world `config` describes."""
     if not os.path.exists(path):
         raise CliUsageError(f"model file not found: {path}")
     with open(path) as fh:
         first = fh.readline()
     if first.startswith("format "):
         params, _ = net.load_model(path)
+        expected = dqn_state_size(config)
+        if int(params.layer_dims[0]) != expected:
+            raise CliUsageError(
+                f"model expects input size {int(params.layer_dims[0])}, "
+                f"environment produces {expected}; adjust --lanes/--rows"
+            )
         return "mlp", params
     try:
-        return "qtable", tabular.load_qtable(path)
+        table = tabular.load_qtable(path)
     except ValueError as exc:
         raise CliUsageError(f"unrecognized model file: {exc}") from None
+    for state in table.entries:
+        if len(state.distances) != config.lanes:
+            raise CliUsageError(
+                f"q-table holds states for {len(state.distances)} lanes, "
+                f"environment has {config.lanes}; adjust --lanes"
+            )
+        if max(state.distances) > config.rows:
+            raise CliUsageError(
+                f"q-table holds distance {max(state.distances)}, "
+                f"environment has {config.rows} rows; adjust --rows"
+            )
+    return "qtable", table
 
 
 def cmd_evaluate(args) -> int:
@@ -282,14 +304,8 @@ def cmd_evaluate(args) -> int:
     _check_known(file_values, ENV_KEYS)
     config = _build_env_config(args, file_values)
     seed = config.seed if args.seed is None else args.seed
-    kind, model = _sniff_model(args.model)
+    kind, model = _load_model(args.model, config)
     if kind == "mlp":
-        expected = dqn_state_size(config)
-        if int(model.layer_dims[0]) != expected:
-            raise CliUsageError(
-                f"model expects input size {int(model.layer_dims[0])}, "
-                f"environment produces {expected}; adjust --lanes/--rows"
-            )
         run = dqn.evaluate_params(model, config, args.steps, seed)
     else:
         run = tabular.evaluate_tabular(model, config, args.steps, seed)
@@ -312,7 +328,7 @@ def cmd_demo(args) -> int:
     _check_known(file_values, ENV_KEYS)
     config = _build_env_config(args, file_values)
     seed = config.seed if args.seed is None else args.seed
-    kind, model = _sniff_model(args.model)
+    kind, model = _load_model(args.model, config)
     env = DeepCarsEnv(config)
     rng = np.random.default_rng(seed)
     for episode in range(args.episodes):

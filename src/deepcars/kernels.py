@@ -1,27 +1,16 @@
 """Hot numeric kernels: dense-net passes, optimizer updates, grid advance.
 
-Every kernel exists twice: a numba-jitted variant and a pure-numpy twin with
-identical semantics. The jitted path is used when numba imports cleanly unless
-the environment variable DEEPCARS_NUMBA=0 forces the fallback. Benchmarks may
-flip `NUMBA_ENABLED` at runtime to compare both paths.
+There is one backend: every kernel is plain numpy.
 
 Network parameters travel as one flat float64 vector `theta` plus an int64
 `dims` array [n_in, h1, ..., n_out]; layer k occupies a row-major (out x in)
 weight block followed by its bias block.
 """
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and os.environ.get("DEEPCARS_NUMBA", "1") != "0"
+# bench/worker.py reads these for its machine record; no numba backend exists.
+HAVE_NUMBA = NUMBA_ENABLED = False
 
 
 def total_params(dims) -> int:
@@ -42,11 +31,7 @@ def layer_offsets(dims):
     return offs
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy kernels
-
-
-def mlp_forward_np(theta, dims, x):
+def mlp_forward(theta, dims, x):
     a = x
     n_layers = len(dims) - 1
     pos = 0
@@ -61,7 +46,7 @@ def mlp_forward_np(theta, dims, x):
     return a
 
 
-def mlp_backward_np(theta, dims, x, dout):
+def mlp_backward(theta, dims, x, dout):
     n_layers = len(dims) - 1
     # hidden activations (post-relu); the output layer itself is not needed
     hidden = []
@@ -90,7 +75,7 @@ def mlp_backward_np(theta, dims, x, dout):
     return grad
 
 
-def adam_update_np(theta, grad, m, v, step, lr, beta1, beta2, eps):
+def adam_update(theta, grad, m, v, step, lr, beta1, beta2, eps):
     m[:] = beta1 * m + (1.0 - beta1) * grad
     v[:] = beta2 * v + (1.0 - beta2) * grad * grad
     c1 = 1.0 - beta1**step
@@ -98,11 +83,11 @@ def adam_update_np(theta, grad, m, v, step, lr, beta1, beta2, eps):
     theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def sgd_update_np(theta, grad, lr):
+def sgd_update(theta, grad, lr):
     theta -= lr * grad
 
 
-def advance_np(grid, ego_lane):
+def advance(grid, ego_lane):
     """Shift traffic one row toward the ego; returns (passed, collided) car counts.
 
     Called after the ego's lateral move. A car leaving the grid from the ego's
@@ -120,177 +105,3 @@ def advance_np(grid, ego_lane):
     if grid[-1, ego_lane]:
         collided += 1
     return passed, collided
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, fastmath=True)
-    def mlp_forward_nb(theta, dims, x):
-        bsz = x.shape[0]
-        n_layers = dims.shape[0] - 1
-        a = x
-        pos = 0
-        for k in range(n_layers):
-            n_in = dims[k]
-            n_out = dims[k + 1]
-            out = np.empty((bsz, n_out))
-            for i in range(bsz):
-                for j in range(n_out):
-                    s = theta[pos + n_out * n_in + j]
-                    w0 = pos + j * n_in
-                    for t in range(n_in):
-                        s += theta[w0 + t] * a[i, t]
-                    if k != n_layers - 1 and s < 0.0:
-                        s = 0.0
-                    out[i, j] = s
-            a = out
-            pos += n_out * (n_in + 1)
-        return a
-
-    @njit(cache=True, fastmath=True)
-    def mlp_backward_nb(theta, dims, x, dout):
-        bsz = x.shape[0]
-        n_layers = dims.shape[0] - 1
-        pos_arr = np.empty(n_layers, np.int64)
-        act_arr = np.empty(n_layers, np.int64)
-        p = 0
-        ao = 0
-        for k in range(n_layers):
-            pos_arr[k] = p
-            act_arr[k] = ao
-            p += dims[k + 1] * (dims[k] + 1)
-            if k < n_layers - 1:
-                ao += dims[k + 1]
-        hidden = np.empty((bsz, ao))
-
-        # forward through the hidden stack only
-        for k in range(n_layers - 1):
-            n_in = dims[k]
-            n_out = dims[k + 1]
-            pos = pos_arr[k]
-            off = act_arr[k]
-            for i in range(bsz):
-                for j in range(n_out):
-                    s = theta[pos + n_out * n_in + j]
-                    w0 = pos + j * n_in
-                    if k == 0:
-                        for t in range(n_in):
-                            s += theta[w0 + t] * x[i, t]
-                    else:
-                        prev = act_arr[k - 1]
-                        for t in range(n_in):
-                            s += theta[w0 + t] * hidden[i, prev + t]
-                    if s < 0.0:
-                        s = 0.0
-                    hidden[i, off + j] = s
-
-        grad = np.zeros_like(theta)
-        delta = dout.copy()
-        for k in range(n_layers - 1, -1, -1):
-            n_in = dims[k]
-            n_out = dims[k + 1]
-            pos = pos_arr[k]
-            new_delta = np.zeros((bsz, n_in))
-            for i in range(bsz):
-                for j in range(n_out):
-                    d = delta[i, j]
-                    if d != 0.0:
-                        w0 = pos + j * n_in
-                        if k == 0:
-                            for t in range(n_in):
-                                grad[w0 + t] += d * x[i, t]
-                        else:
-                            prev = act_arr[k - 1]
-                            for t in range(n_in):
-                                grad[w0 + t] += d * hidden[i, prev + t]
-                                new_delta[i, t] += d * theta[w0 + t]
-                        grad[pos + n_out * n_in + j] += d
-            if k > 0:
-                prev = act_arr[k - 1]
-                for i in range(bsz):
-                    for t in range(n_in):
-                        if hidden[i, prev + t] <= 0.0:
-                            new_delta[i, t] = 0.0
-            delta = new_delta
-        return grad
-
-    @njit(cache=True)
-    def adam_update_nb(theta, grad, m, v, step, lr, beta1, beta2, eps):
-        c1 = 1.0 - beta1**step
-        c2 = 1.0 - beta2**step
-        for i in range(theta.shape[0]):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * grad[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * grad[i] * grad[i]
-            theta[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
-
-    @njit(cache=True)
-    def sgd_update_nb(theta, grad, lr):
-        for i in range(theta.shape[0]):
-            theta[i] -= lr * grad[i]
-
-    @njit(cache=True)
-    def advance_nb(grid, ego_lane):
-        rows = grid.shape[0]
-        lanes = grid.shape[1]
-        passed = 0
-        collided = 0
-        for l in range(lanes):
-            if grid[rows - 1, l] != 0:
-                if l == ego_lane:
-                    collided += 1
-                else:
-                    passed += 1
-        for r in range(rows - 1, 0, -1):
-            for l in range(lanes):
-                grid[r, l] = grid[r - 1, l]
-        for l in range(lanes):
-            grid[0, l] = 0
-        if grid[rows - 1, ego_lane] != 0:
-            collided += 1
-        return passed, collided
-
-else:  # pragma: no cover
-    mlp_forward_nb = mlp_forward_np
-    mlp_backward_nb = mlp_backward_np
-    adam_update_nb = adam_update_np
-    sgd_update_nb = sgd_update_np
-    advance_nb = advance_np
-
-
-# ---------------------------------------------------------------------------
-# dispatchers (read NUMBA_ENABLED at call time so benchmarks can toggle it)
-
-
-def mlp_forward(theta, dims, x):
-    if NUMBA_ENABLED:
-        return mlp_forward_nb(theta, dims, x)
-    return mlp_forward_np(theta, dims, x)
-
-
-def mlp_backward(theta, dims, x, dout):
-    if NUMBA_ENABLED:
-        return mlp_backward_nb(theta, dims, x, dout)
-    return mlp_backward_np(theta, dims, x, dout)
-
-
-def adam_update(theta, grad, m, v, step, lr, beta1, beta2, eps):
-    if NUMBA_ENABLED:
-        adam_update_nb(theta, grad, m, v, step, lr, beta1, beta2, eps)
-    else:
-        adam_update_np(theta, grad, m, v, step, lr, beta1, beta2, eps)
-
-
-def sgd_update(theta, grad, lr):
-    if NUMBA_ENABLED:
-        sgd_update_nb(theta, grad, lr)
-    else:
-        sgd_update_np(theta, grad, lr)
-
-
-def advance(grid, ego_lane):
-    if NUMBA_ENABLED:
-        return advance_nb(grid, ego_lane)
-    return advance_np(grid, ego_lane)

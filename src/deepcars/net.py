@@ -1,6 +1,6 @@
 """Dense feed-forward value network with hand-rolled backprop.
 
-Parameters live in one flat float64 vector so the jitted kernels, the
+Parameters live in one flat float64 vector so the numpy kernels, the
 optimizer state, and serialization all share a single layout. Hidden layers
 are rectified-linear, the output layer is linear.
 """

@@ -1,5 +1,9 @@
-from deepcars import net
+import numpy as np
+import pytest
+
+from deepcars import net, tabular
 from deepcars.cli import ARCH_PRESETS, run
+from deepcars.encoders import TabularState
 from deepcars.metrics import read_csv
 
 
@@ -136,14 +140,37 @@ def test_demo_qtable_model(tmp_path, capsys):
     assert "episode 0 reward:" in text
 
 
-def test_evaluate_dimension_mismatch_is_usage_error(tmp_path, capsys):
-    params = net.init_params([10, 4, 3], 0)
+def _qtable_for(distances):
+    table = tabular.QTable()
+    table.entries[TabularState(0, distances)] = np.array([0.5, 0.0, -0.5])
+    return table
+
+
+@pytest.mark.parametrize("command", ["evaluate", "demo"])
+@pytest.mark.parametrize(
+    "kind,message",
+    [
+        ("mlp", "input size"),  # a 10-input net on the default 8x5 world
+        ("qtable-lanes", "for 3 lanes"),  # a 3-lane q-table on 5 lanes
+        ("qtable-rows", "distance 8"),  # an 8-row q-table on 5 rows
+    ],
+    ids=["mlp", "qtable-lanes", "qtable-rows"],
+)
+def test_evaluate_dimension_mismatch_is_usage_error(tmp_path, capsys, command, kind, message):
     model = tmp_path / "m.model"
-    net.save_model(params, model)
-    code = run(["evaluate", "--model", str(model), "--steps", "50",
-                "--out", str(tmp_path / "eval")])
+    argv = [command, "--model", str(model)]
+    if kind == "mlp":
+        net.save_model(net.init_params([10, 4, 3], 0), model)
+    elif kind == "qtable-lanes":
+        tabular.save_qtable(_qtable_for((1, 3, 8)), model)
+    else:
+        tabular.save_qtable(_qtable_for((8, 2, 8, 8, 1)), model)
+        argv += ["--rows", "5"]
+    if command == "evaluate":
+        argv += ["--steps", "50", "--out", str(tmp_path / "eval")]
+    code = run(argv)
     assert code == 2
-    assert "input size" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_demo_transcript_is_deterministic(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,29 @@ def test_sgd_step_examples():
     before = p.theta.copy()
     net.gradient_step(p, np.zeros(2), opt)
     assert np.array_equal(p.theta, before)
+
+
+def test_adam_step_examples():
+    # Adam (Kingma & Ba) with beta1=0.9, beta2=0.999, eps=1e-8, worked out by hand
+    p = _zero_params([1, 1])
+    p.theta[:] = [1.0, -0.5]
+    opt = net.make_optimizer(p, "adam", learning_rate=0.1)
+    theta, m, v = [1.0, -0.5], [0.0, 0.0], [0.0, 0.0]
+    for t, grad in enumerate([[0.5, -2.0], [-1.5, 0.25]], start=1):
+        net.gradient_step(p, np.array(grad), opt)
+        for i, g in enumerate(grad):
+            m[i] = 0.9 * m[i] + 0.1 * g
+            v[i] = 0.999 * v[i] + 0.001 * g * g
+            m_hat = m[i] / (1.0 - 0.9**t)
+            v_hat = v[i] / (1.0 - 0.999**t)
+            theta[i] -= 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
+        assert opt.step_count == t
+        assert list(p.theta) == pytest.approx(theta, rel=1e-12, abs=0.0)
+        assert list(opt.m) == pytest.approx(m, rel=1e-12, abs=0.0)
+        assert list(opt.v) == pytest.approx(v, rel=1e-12, abs=0.0)
+        if t == 1:
+            # bias correction makes the first step lr against the gradient's sign
+            assert list(p.theta) == pytest.approx([0.9, -0.4], abs=1e-8)
 
 
 @pytest.mark.parametrize("algorithm,lr,steps", [("sgd", 0.2, 200), ("adam", 0.05, 2000)])
