@@ -101,21 +101,21 @@ def td_targets(
     (argmax ties resolve to the lowest action code in both cases).
     """
     q_target = net.forward(target, batch.next_states)
-    if not np.all(np.isfinite(q_target)):
+    if not np.isfinite(q_target).all():
         raise NumericError("target network produced non-finite Q-values")
     if double_q:
         q_online = net.forward(online, batch.next_states)
-        if not np.all(np.isfinite(q_online)):
+        if not np.isfinite(q_online).all():
             raise NumericError("online network produced non-finite Q-values")
-        chosen = np.argmax(q_online, axis=1)
+        chosen = q_online.argmax(axis=1)
     else:
-        chosen = np.argmax(q_target, axis=1)
+        chosen = q_target.argmax(axis=1)
     bootstrap = q_target[np.arange(len(chosen)), chosen]
     return np.where(batch.terminals, batch.rewards, batch.rewards + gamma * bootstrap)
 
 
 def greedy_action(params: MlpParams, state_vec: np.ndarray) -> int:
-    return int(np.argmax(net.forward(params, state_vec)))
+    return int(net.forward(params, state_vec).argmax())
 
 
 def _roll_seed(rng: np.random.Generator) -> int:

@@ -25,11 +25,10 @@ class TabularState(NamedTuple):
 def encode_tabular(state: EnvState) -> TabularState:
     grid = state.grid
     rows = grid.shape[0]
-    toward_ego = grid[::-1]  # index 0 = ego row
-    nearest = toward_ego.argmax(axis=0)
-    visible = toward_ego.max(axis=0) > 0
-    dists = np.where(visible, nearest, rows)
-    return TabularState(int(state.ego_lane), tuple(int(d) for d in dists))
+    # one list per lane, index 0 = ego row; the grid is binary
+    lanes = grid[::-1].T.tolist()
+    dists = tuple(lane.index(1) if 1 in lane else rows for lane in lanes)
+    return TabularState(int(state.ego_lane), dists)
 
 
 def lane_bit_width(lanes: int) -> int:

@@ -98,14 +98,14 @@ def spawn_row(rng, config: EnvConfig, anchor_lane: int):
     old anchor, ties toward the lower index.
     """
     row = (rng.random(config.lanes) < config.occupancy_prob).astype(np.uint8)
-    reach = config.spawn_interval - 1
-    free = np.flatnonzero(row == 0)
-    if free.size == 0 or int(np.abs(free - anchor_lane).min()) > reach:
-        occupied = np.flatnonzero(row == 1)
-        row[occupied[np.argmin(np.abs(occupied - anchor_lane))]] = 0
-        free = np.flatnonzero(row == 0)
-    new_anchor = int(free[np.argmin(np.abs(free - anchor_lane))])
-    return row, new_anchor
+    cells = row.tolist()
+    # lanes in order of distance from the anchor, the lower index first on ties
+    for d in range(config.spawn_interval):
+        for lane in (anchor_lane - d, anchor_lane + d):
+            if 0 <= lane < config.lanes and not cells[lane]:
+                return row, lane
+    row[anchor_lane] = 0
+    return row, anchor_lane
 
 
 class DeepCarsEnv:

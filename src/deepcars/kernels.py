@@ -2,9 +2,11 @@
 
 There is one backend: every kernel is plain numpy.
 
-Network parameters travel as one flat float64 vector `theta` plus an int64
-`dims` array [n_in, h1, ..., n_out]; layer k occupies a row-major (out x in)
-weight block followed by its bias block.
+Network parameters live in one flat float64 vector `theta` laid out by an
+int64 `dims` array [n_in, h1, ..., n_out]; layer k occupies a row-major
+(out x in) weight block followed by its bias block. The dense passes take
+`layers`, one (W.T, b) pair of views into `theta` per layer, built once per
+parameter set (`net.MlpParams.layers`).
 """
 
 import numpy as np
@@ -31,56 +33,57 @@ def layer_offsets(dims):
     return offs
 
 
-def mlp_forward(theta, dims, x):
+def mlp_forward(layers, x):
+    """Dense pass over `layers`, one (W.T, b) pair per layer; relu on hidden layers.
+
+    ndarray.dot reaches the same BLAS products as `@` (bit-identical results)
+    at a fraction of its dispatch cost, which dominates at these sizes.
+    """
     a = x
-    n_layers = len(dims) - 1
-    pos = 0
-    for k in range(n_layers):
-        n_in, n_out = dims[k], dims[k + 1]
-        w = theta[pos : pos + n_out * n_in].reshape(n_out, n_in)
-        b = theta[pos + n_out * n_in : pos + n_out * (n_in + 1)]
-        a = a @ w.T + b
-        if k != n_layers - 1:
+    last = len(layers) - 1
+    for k, (wt, b) in enumerate(layers):
+        a = a.dot(wt) + b
+        if k != last:
             a = np.maximum(a, 0.0)
-        pos += n_out * (n_in + 1)
     return a
 
 
-def mlp_backward(theta, dims, x, dout):
-    n_layers = len(dims) - 1
-    # hidden activations (post-relu); the output layer itself is not needed
-    hidden = []
-    a = x
-    pos = 0
-    for k in range(n_layers - 1):
-        n_in, n_out = dims[k], dims[k + 1]
-        w = theta[pos : pos + n_out * n_in].reshape(n_out, n_in)
-        b = theta[pos + n_out * n_in : pos + n_out * (n_in + 1)]
-        a = np.maximum(a @ w.T + b, 0.0)
-        hidden.append(a)
-        pos += n_out * (n_in + 1)
+def mlp_backward(layers, x, dout):
+    # inputs of every layer: x, then the hidden activations (post-relu)
+    acts = [x]
+    for wt, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1].dot(wt) + b, 0.0))
 
-    grad = np.zeros_like(theta)
-    offs = layer_offsets(dims)
+    # per-layer blocks collected output first, bias before weight, then reversed
+    blocks = []
     delta = dout
-    for k in range(n_layers - 1, -1, -1):
-        w0, b0, _ = offs[k]
-        n_in, n_out = dims[k], dims[k + 1]
-        a_prev = x if k == 0 else hidden[k - 1]
-        grad[w0:b0] = (delta.T @ a_prev).ravel()
-        grad[b0 : b0 + n_out] = delta.sum(axis=0)
+    for k in range(len(layers) - 1, -1, -1):
+        blocks.append(delta.sum(axis=0))
+        blocks.append(delta.T.dot(acts[k]).ravel())
         if k > 0:
-            w = theta[w0:b0].reshape(n_out, n_in)
-            delta = (delta @ w) * (hidden[k - 1] > 0.0)
-    return grad
+            delta = delta.dot(layers[k][0].T) * (acts[k] > 0.0)
+    blocks.reverse()
+    return np.concatenate(blocks)
 
 
 def adam_update(theta, grad, m, v, step, lr, beta1, beta2, eps):
-    m[:] = beta1 * m + (1.0 - beta1) * grad
-    v[:] = beta2 * v + (1.0 - beta2) * grad * grad
+    # same operation order as theta -= lr * (m / c1) / (sqrt(v / c2) + eps)
+    tmp = (1.0 - beta1) * grad
+    m *= beta1
+    m += tmp
+    np.multiply(grad, 1.0 - beta2, out=tmp)
+    tmp *= grad
+    v *= beta2
+    v += tmp
     c1 = 1.0 - beta1**step
     c2 = 1.0 - beta2**step
-    theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    upd = m / c1
+    upd *= lr
+    upd /= tmp
+    theta -= upd
 
 
 def sgd_update(theta, grad, lr):
@@ -94,13 +97,13 @@ def advance(grid, ego_lane):
     own cell is a collision (the ego slid into it), any other leaving car has
     been passed, and a car arriving on the ego cell is a collision.
     """
-    leaving = grid[-1].copy()
-    passed = int(leaving.sum())
+    leaving = grid[-1].tolist()
+    passed = sum(leaving)
     collided = 0
     if leaving[ego_lane]:
         passed -= 1
         collided += 1
-    grid[1:] = grid[:-1].copy()
+    grid[1:] = grid[:-1]  # numpy copies an overlapping source before assigning
     grid[0] = 0
     if grid[-1, ego_lane]:
         collided += 1

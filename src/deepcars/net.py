@@ -7,7 +7,7 @@ are rectified-linear, the output layer is linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,22 +31,40 @@ MODEL_FORMAT_TAG = "deepcars-mlp-v1"
 
 @dataclass(eq=False)
 class MlpParams:
+    """Flat parameters of one MLP plus per-layer views into them.
+
+    `theta` is mutated in place and never rebound: `layers`, one (W.T, b)
+    pair of views into `theta` per layer, is built once at construction and
+    would go stale if `theta` were replaced by another array.
+    """
+
     layer_dims: np.ndarray  # int64, [n_in, h1, ..., n_out]
-    theta: np.ndarray  # flat float64
+    theta: np.ndarray  # flat float64, C-contiguous
+    layers: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dims = [int(d) for d in self.layer_dims]
+        if len(dims) < 2 or min(dims) < 1:
+            raise ShapeError(f"layer dims must be >= 2 positive sizes, got {dims}")
+        if self.theta.shape != (kernels.total_params(dims),):
+            raise ShapeError(f"theta of shape {self.theta.shape} does not fit dims {dims}")
+        if not self.theta.flags.c_contiguous:
+            raise ShapeError("theta must be C-contiguous so layer views alias it")
+        self.layers = tuple(
+            (self.theta[w0:b0].reshape(dims[k + 1], dims[k]).T, self.theta[b0:end])
+            for k, (w0, b0, end) in enumerate(kernels.layer_offsets(dims))
+        )
 
     def weight(self, k: int) -> np.ndarray:
         """Row-major (out x in) weight matrix of layer k, as a view."""
-        w0, b0, _ = kernels.layer_offsets(self.layer_dims)[k]
-        n_in, n_out = int(self.layer_dims[k]), int(self.layer_dims[k + 1])
-        return self.theta[w0:b0].reshape(n_out, n_in)
+        return self.layers[k][0].T
 
     def bias(self, k: int) -> np.ndarray:
-        _, b0, end = kernels.layer_offsets(self.layer_dims)[k]
-        return self.theta[b0:end]
+        return self.layers[k][1]
 
     @property
     def n_layers(self) -> int:
-        return len(self.layer_dims) - 1
+        return len(self.layers)
 
 
 def init_params(layer_dims, seed: int) -> MlpParams:
@@ -75,8 +93,8 @@ def _as_batch(x, width, what):
 def forward(params: MlpParams, x) -> np.ndarray:
     """Q-values for one input vector or a batch of them."""
     single = np.ndim(x) == 1
-    xb = _as_batch(x, int(params.layer_dims[0]), "input")
-    out = kernels.mlp_forward(params.theta, params.layer_dims, xb)
+    xb = _as_batch(x, params.layers[0][0].shape[0], "input")
+    out = kernels.mlp_forward(params.layers, xb)
     return out[0] if single else out
 
 
@@ -87,13 +105,13 @@ def backward(params: MlpParams, x, output_gradient) -> np.ndarray:
     contribute their per-sample gradients summed.
     """
     single = np.ndim(x) == 1
-    xb = _as_batch(x, int(params.layer_dims[0]), "input")
-    gb = _as_batch(output_gradient, int(params.layer_dims[-1]), "output gradient")
+    xb = _as_batch(x, params.layers[0][0].shape[0], "input")
+    gb = _as_batch(output_gradient, params.layers[-1][1].shape[0], "output gradient")
     if single != (np.ndim(output_gradient) == 1) or xb.shape[0] != gb.shape[0]:
         raise ShapeError(
             f"input batch {xb.shape[0]} does not match gradient batch {gb.shape[0]}"
         )
-    return kernels.mlp_backward(params.theta, params.layer_dims, xb, gb)
+    return kernels.mlp_backward(params.layers, xb, gb)
 
 
 def clone(params: MlpParams) -> MlpParams:
@@ -144,7 +162,7 @@ def gradient_step(params: MlpParams, grad: np.ndarray, opt: OptimizerState) -> N
         raise ShapeError(
             f"gradient shape {grad.shape} does not match parameters {params.theta.shape}"
         )
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient; training aborted")
     opt.step_count += 1
     if opt.algorithm == "adam":
@@ -197,30 +215,24 @@ def load_model(path) -> tuple[MlpParams, str]:
     dims = np.array([int(d) for d in lines[1][5:].split(",")], dtype=np.int64)
     optimizer = lines[2].split(" ", 1)[1]
     params = MlpParams(layer_dims=dims, theta=np.zeros(kernels.total_params(dims)))
-    expected = []
-    for k in range(params.n_layers):
-        n_in, n_out = int(dims[k]), int(dims[k + 1])
-        expected.append((f"w{k}", n_out * n_in))
-        expected.append((f"b{k}", n_out))
+    blocks = [
+        (f"{kind}{k}", view)
+        for k in range(params.n_layers)
+        for kind, view in (("w", params.weight(k)), ("b", params.bias(k)))
+    ]
     body = lines[3:]
-    if len(body) != len(expected):
+    if len(body) != len(blocks):
         raise ModelFormatError(
-            f"{path}: expected {len(expected)} parameter lines, found {len(body)}"
+            f"{path}: expected {len(blocks)} parameter lines, found {len(body)}"
         )
-    offs = kernels.layer_offsets(dims)
-    for line, (label, count) in zip(body, expected):
+    for line, (label, view) in zip(body, blocks):
         key, _, payload = line.partition(" ")
         if key != label:
             raise ModelFormatError(f"{path}: expected block {label!r}, found {key!r}")
         values = np.array([float(v) for v in payload.split()], dtype=np.float64)
-        if values.size != count:
+        if values.size != view.size:
             raise ModelFormatError(
-                f"{path}: block {label!r} has {values.size} values, expected {count}"
+                f"{path}: block {label!r} has {values.size} values, expected {view.size}"
             )
-        k = int(label[1:])
-        w0, b0, end = offs[k]
-        if label[0] == "w":
-            params.theta[w0:b0] = values
-        else:
-            params.theta[b0:end] = values
+        view[...] = values.reshape(view.shape)
     return params, optimizer

@@ -57,11 +57,11 @@ class ReplayBuffer:
             return None
         idx = rng.integers(0, self._fill, size=batch_size)
         return Batch(
-            states=self.states[idx],
-            actions=self.actions[idx],
-            rewards=self.rewards[idx],
-            next_states=self.next_states[idx],
-            terminals=self.terminals[idx],
+            states=self.states.take(idx, axis=0),
+            actions=self.actions.take(idx),
+            rewards=self.rewards.take(idx),
+            next_states=self.next_states.take(idx, axis=0),
+            terminals=self.terminals.take(idx),
         )
 
     def entries(self) -> list[Transition]:

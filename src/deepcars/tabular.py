@@ -81,7 +81,7 @@ def select_action(
     """Uniform-random with probability epsilon, else argmax with lowest-code ties."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(0, 3))
-    return int(np.argmax(table.values(s)))
+    return int(table.values(s).argmax())
 
 
 def _roll_seed(rng: np.random.Generator) -> int:

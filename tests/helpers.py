@@ -78,6 +78,23 @@ def naive_step(grid, ego_lane, action):
     return new_grid, new_ego, passed, collided
 
 
+def naive_spawn_row(rng, config: EnvConfig, anchor_lane: int):
+    """Array-scan reference for env.spawn_row: same single draw, same repair.
+
+    Returns (row uint8, new_anchor); the repaired lane and the new anchor are
+    the nearest candidates to the old anchor, ties toward the lower index.
+    """
+    row = (rng.random(config.lanes) < config.occupancy_prob).astype(np.uint8)
+    reach = config.spawn_interval - 1
+    free = np.flatnonzero(row == 0)
+    if free.size == 0 or int(np.abs(free - anchor_lane).min()) > reach:
+        occupied = np.flatnonzero(row == 1)
+        row[occupied[np.argmin(np.abs(occupied - anchor_lane))]] = 0
+        free = np.flatnonzero(row == 0)
+    new_anchor = int(free[np.argmin(np.abs(free - anchor_lane))])
+    return row, new_anchor
+
+
 def naive_tabular_distances(grid):
     """Per-lane scan for the nearest car at or ahead of the ego row."""
     rows, lanes = grid.shape

@@ -7,6 +7,7 @@ agents and takes several minutes; every run is seeded and deterministic.
 import time
 
 import numpy as np
+import pytest
 
 from deepcars import net
 from deepcars.dqn import DqnHyperparams, td_targets, train_dqn, evaluate_params
@@ -24,6 +25,8 @@ from helpers import (
     run_lookahead,
     state_from_ascii,
 )
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(criterion: int, ok: bool, detail: str):

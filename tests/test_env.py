@@ -13,7 +13,13 @@ from deepcars.env import (
     spawn_row,
 )
 
-from helpers import naive_step, parse_ascii, run_lookahead, state_from_ascii
+from helpers import (
+    naive_spawn_row,
+    naive_step,
+    parse_ascii,
+    run_lookahead,
+    state_from_ascii,
+)
 
 
 def test_reset_defaults():
@@ -270,6 +276,26 @@ def test_spawn_row_interval_one_keeps_anchor_lane_clear():
         assert row[anchor] == 0
         assert anchor_next == anchor  # nearest free lane is always itself
         anchor = anchor_next
+
+
+def test_spawn_row_matches_reference_and_draw_count():
+    # same row, anchor and generator state as the array-scan reference, so a
+    # spawn consumes exactly one draw of `lanes` uniforms in every case
+    for lanes in range(2, 9):
+        for interval in range(1, 5):
+            for prob in (0.0, 0.4, 0.9):
+                config = EnvConfig(lanes=lanes, spawn_interval=interval, occupancy_prob=prob)
+                for anchor in range(lanes):
+                    seed = [lanes, interval, int(prob * 10), anchor]
+                    rng = np.random.default_rng(seed)
+                    ref = np.random.default_rng(seed)
+                    for _ in range(25):
+                        row, new_anchor = spawn_row(rng, config, anchor)
+                        want_row, want_anchor = naive_spawn_row(ref, config, anchor)
+                        assert row.dtype == np.uint8
+                        assert np.array_equal(row, want_row)
+                        assert type(new_anchor) is int and new_anchor == want_anchor
+                        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_lookahead_oracle_survives():

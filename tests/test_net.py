@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deepcars import net
+from deepcars.kernels import layer_offsets
 from deepcars.net import (
     ModelFormatError,
     NumericError,
@@ -187,6 +188,62 @@ def test_clone_into_shape_mismatch():
     dst = net.init_params([6, 4, 3], 1)
     with pytest.raises(ShapeError):
         net.clone_into(src, dst)
+
+
+def _adam_step(p, tmp_path):
+    net.gradient_step(p, np.linspace(-1.0, 1.0, p.theta.size), net.make_optimizer(p, "adam"))
+    return p
+
+
+def _sgd_step(p, tmp_path):
+    net.gradient_step(p, np.linspace(-1.0, 1.0, p.theta.size), net.make_optimizer(p, "sgd", 0.5))
+    return p
+
+
+def _clone_into(p, tmp_path):
+    net.clone_into(net.init_params(p.layer_dims, 99), p)
+    return p
+
+
+def _load_model(p, tmp_path):
+    net.save_model(net.init_params(p.layer_dims, 98), tmp_path / "m.txt")
+    return net.load_model(tmp_path / "m.txt")[0]
+
+
+def _assign_theta(p, tmp_path):
+    p.theta[:] = np.random.default_rng(97).uniform(-1.0, 1.0, p.theta.size)
+    return p
+
+
+@pytest.mark.parametrize(
+    "mutate", [_adam_step, _sgd_step, _clone_into, _load_model, _assign_theta]
+)
+def test_layer_views_follow_theta(mutate, tmp_path):
+    # the cached per-layer views must see every in-place update of theta
+    p = net.init_params([6, 5, 4, 3], 1)
+    x = np.linspace(-1.0, 1.0, 6)
+    net.forward(p, x)
+    p = mutate(p, tmp_path)
+    dims = [int(d) for d in p.layer_dims]
+    weights, biases = [], []
+    for k, (w0, b0, end) in enumerate(layer_offsets(dims)):
+        weights.append(p.theta[w0:b0].reshape(dims[k + 1], dims[k]).tolist())
+        biases.append(p.theta[b0:end].tolist())
+    assert np.max(np.abs(net.forward(p, x) - naive_forward(weights, biases, x))) < 1e-12
+    for k in range(p.n_layers):
+        assert np.shares_memory(p.weight(k), p.theta)
+        assert np.shares_memory(p.bias(k), p.theta)
+
+
+def test_params_reject_dims_and_theta_that_cannot_be_viewed(tmp_path):
+    with pytest.raises(ShapeError):
+        net.MlpParams(layer_dims=np.array([2, 1]), theta=np.zeros(4))
+    with pytest.raises(ShapeError):
+        net.MlpParams(layer_dims=np.array([2, 1]), theta=np.zeros(6)[::2])
+    path = tmp_path / "one-layer.model"
+    path.write_text("format deepcars-mlp-v1\ndims 43\noptimizer adam\n")
+    with pytest.raises(ShapeError):
+        net.load_model(path)
 
 
 def test_model_save_load_roundtrip(tmp_path):
