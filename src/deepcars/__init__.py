@@ -5,7 +5,6 @@ from .dqn import (
     DqnHyperparams,
     DqnTrainer,
     epsilon_at,
-    evaluate_params,
     td_targets,
     train_dqn,
     validate,
@@ -19,6 +18,8 @@ from .env import (
     EnvState,
     StepOutcome,
     TerminalStateError,
+    evaluate,
+    greedy_steps,
     render_ascii,
     spawn_row,
 )
@@ -43,7 +44,6 @@ from .replay import Batch, ReplayBuffer, Transition
 from .tabular import (
     QTable,
     TabularHyperparams,
-    evaluate_tabular,
     load_qtable,
     q_update,
     save_qtable,

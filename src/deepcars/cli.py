@@ -12,11 +12,9 @@ import os
 import sys
 import dataclasses
 
-import numpy as np
-
 from . import dqn, metrics as metrics_mod, net, tabular
-from .encoders import dqn_state_size, encode_dqn, encode_tabular
-from .env import Action, ConfigError, DeepCarsEnv, EnvConfig, render_ascii
+from .encoders import dqn_state_size
+from .env import Action, ConfigError, EnvConfig, evaluate, greedy_steps, render_ascii
 from .net import ModelFormatError
 from .tabular import TabularHyperparams
 
@@ -48,6 +46,13 @@ def _parse_hidden(text: str):
     return sizes
 
 
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return value in ("1", "true", "yes")
+
+
 ENV_KEYS = {
     "lanes": int,
     "rows": int,
@@ -67,7 +72,7 @@ DQN_KEYS = {
     "target_sync_period": int,
     "train_steps": int,
     "learn_start": int,
-    "double_q": lambda v: v.lower() in ("1", "true", "yes"),
+    "double_q": _parse_bool,
     "hidden_layers": lambda v: tuple(int(p) for p in v.split(",")),
     "learning_rate": float,
     "optimizer": str,
@@ -188,9 +193,7 @@ def cmd_train_tabular(args) -> int:
     hp = TabularHyperparams(
         **_resolve(defaults, TABULAR_KEYS, _split_file_values(file_values, TABULAR_KEYS), flag_values)
     )
-    seed = config.seed if args.seed is None else args.seed
-
-    table, run = tabular.train_tabular(config, hp, seed)
+    table, run = tabular.train_tabular(config, hp, config.seed)
     os.makedirs(args.out, exist_ok=True)
     qtable_path = os.path.join(args.out, "qtable.txt")
     tabular.save_qtable(table, qtable_path)
@@ -236,9 +239,7 @@ def cmd_train_dqn(args) -> int:
     hp = dqn.DqnHyperparams(
         **_resolve(defaults, DQN_KEYS, _split_file_values(file_values, DQN_KEYS), flag_values)
     )
-    seed = config.seed if args.seed is None else args.seed
-
-    best, final, run = dqn.train_dqn(config, hp, seed)
+    best, final, run = dqn.train_dqn(config, hp, config.seed)
     os.makedirs(args.out, exist_ok=True)
     final_path = os.path.join(args.out, "final.model")
     best_path = os.path.join(args.out, "best.model")
@@ -266,8 +267,9 @@ def cmd_train_dqn(args) -> int:
 
 
 def _load_model(path, config: EnvConfig):
-    """Return ('mlp', params) or ('qtable', table) based on the file header,
-    refusing a model whose shape does not fit the world `config` describes."""
+    """Return the greedy `act(state)` of the model in `path` (an MLP or a
+    q-table, told apart by the file header), refusing a model whose shape
+    does not fit the world `config` describes."""
     if not os.path.exists(path):
         raise CliUsageError(f"model file not found: {path}")
     with open(path) as fh:
@@ -280,7 +282,10 @@ def _load_model(path, config: EnvConfig):
                 f"model expects input size {int(params.layer_dims[0])}, "
                 f"environment produces {expected}; adjust --lanes/--rows"
             )
-        return "mlp", params
+        outputs = int(params.layer_dims[-1])
+        if outputs != len(Action):
+            raise CliUsageError(f"model has {outputs} outputs, one per action needs {len(Action)}")
+        return dqn.greedy_policy(params)
     try:
         table = tabular.load_qtable(path)
     except ValueError as exc:
@@ -296,19 +301,14 @@ def _load_model(path, config: EnvConfig):
                 f"q-table holds distance {max(state.distances)}, "
                 f"environment has {config.rows} rows; adjust --rows"
             )
-    return "qtable", table
+    return tabular.greedy_policy(table)
 
 
 def cmd_evaluate(args) -> int:
     file_values = parse_kv_file(args.config) if args.config else {}
     _check_known(file_values, ENV_KEYS)
     config = _build_env_config(args, file_values)
-    seed = config.seed if args.seed is None else args.seed
-    kind, model = _load_model(args.model, config)
-    if kind == "mlp":
-        run = dqn.evaluate_params(model, config, args.steps, seed)
-    else:
-        run = tabular.evaluate_tabular(model, config, args.steps, seed)
+    run = evaluate(_load_model(args.model, config), config, args.steps, config.seed)
     _print_accuracy("evaluation", run)
     os.makedirs(args.out, exist_ok=True)
     summary = os.path.join(args.out, "evaluation.txt")
@@ -327,30 +327,25 @@ def cmd_demo(args) -> int:
     file_values = parse_kv_file(args.config) if args.config else {}
     _check_known(file_values, ENV_KEYS)
     config = _build_env_config(args, file_values)
-    seed = config.seed if args.seed is None else args.seed
-    kind, model = _load_model(args.model, config)
-    env = DeepCarsEnv(config)
-    rng = np.random.default_rng(seed)
-    for episode in range(args.episodes):
-        state = env.reset(int(rng.integers(0, 2**63)))
-        total = 0.0
-        print(f"episode {episode}")
-        print(render_ascii(state))
-        while True:
-            if kind == "mlp":
-                a = dqn.greedy_action(model, encode_dqn(state))
-            else:
-                a = tabular.select_action(model, encode_tabular(state), 0.0, rng)
-            out = env.step(a)
-            total += out.reward
-            print(f"step {out.next_state.step_count}: "
-                  f"action={Action(a).name} reward={out.reward:+.0f}")
-            print(render_ascii(out.next_state))
-            if out.terminal:
-                break
-            state = out.next_state
-        print(f"episode {episode} reward: {total:.0f}")
-    return 0
+    if args.episodes < 1:
+        raise CliUsageError(f"--episodes must be >= 1, got {args.episodes}")
+    act = _load_model(args.model, config)
+    episode = 0
+    total = 0.0
+    for state, a, out in greedy_steps(act, config, config.seed):
+        if state.step_count == 0:
+            print(f"episode {episode}")
+            print(render_ascii(state))
+        total += out.reward
+        print(f"step {out.next_state.step_count}: "
+              f"action={Action(a).name} reward={out.reward:+.0f}")
+        print(render_ascii(out.next_state))
+        if out.terminal:
+            print(f"episode {episode} reward: {total:.0f}")
+            episode += 1
+            total = 0.0
+            if episode == args.episodes:
+                return 0
 
 
 def cmd_plot(args) -> int:

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import net
 from .encoders import dqn_state_size, encode_dqn
-from .env import DeepCarsEnv, EnvConfig
-from .metrics import RunMetrics, WINDOW_EPISODES, accuracy
+from .env import DeepCarsEnv, EnvConfig, greedy_steps, roll_seed
+from .metrics import RunMetrics, accuracy
 from .net import MlpParams, NumericError
 from .replay import Batch, ReplayBuffer, Transition
 
@@ -118,8 +118,9 @@ def greedy_action(params: MlpParams, state_vec: np.ndarray) -> int:
     return int(net.forward(params, state_vec).argmax())
 
 
-def _roll_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2**63))
+def greedy_policy(params: MlpParams):
+    """The greedy `act(state)` of an MLP agent, for `env.greedy_steps`."""
+    return lambda state: greedy_action(params, encode_dqn(state))
 
 
 def validate(
@@ -128,53 +129,24 @@ def validate(
     """Greedy rollouts on fresh environment instances; parameters untouched."""
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    rng = np.random.default_rng(seed)
-    env = DeepCarsEnv(config)
     total_reward = 0.0
     passed = 0
     collided = 0
-    for _ in range(episodes):
-        state = env.reset(_roll_seed(rng))
-        vec = encode_dqn(state)
-        while True:
-            out = env.step(greedy_action(params, vec))
-            total_reward += out.reward
-            passed += out.cars_passed_this_step
-            if out.terminal:
-                collided += out.next_state.collided_count
+    finished = 0
+    for _, _, out in greedy_steps(greedy_policy(params), config, seed):
+        total_reward += out.reward
+        passed += out.cars_passed_this_step
+        if out.terminal:
+            collided += out.next_state.collided_count
+            finished += 1
+            if finished == episodes:
                 break
-            vec = encode_dqn(out.next_state)
     return ValidationResult(
         mean_reward=total_reward / episodes,
         accuracy_pct=accuracy(passed, collided),
         passed=passed,
         collided=collided,
     )
-
-
-def evaluate_params(
-    params: MlpParams, config: EnvConfig, steps: int, seed: int
-) -> RunMetrics:
-    """Greedy rollout for a fixed number of environment steps."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    rng = np.random.default_rng(seed)
-    metrics = RunMetrics()
-    env = DeepCarsEnv(config)
-    vec = encode_dqn(env.reset(_roll_seed(rng)))
-    episode = 0
-    for t in range(1, steps + 1):
-        out = env.step(greedy_action(params, vec))
-        metrics.add_step(t, episode, out.reward, 0.0)
-        metrics.passed += out.cars_passed_this_step
-        if out.terminal:
-            if out.reward < 0:
-                metrics.collided += out.next_state.collided_count
-            episode += 1
-            vec = encode_dqn(env.reset(_roll_seed(rng)))
-        else:
-            vec = encode_dqn(out.next_state)
-    return metrics
 
 
 class DqnTrainer:
@@ -202,11 +174,8 @@ class DqnTrainer:
         self.best: Checkpoint | None = None
 
         self.env = DeepCarsEnv(config)
-        self._vec = encode_dqn(self.env.reset(_roll_seed(self.episode_rng)))
+        self._vec = encode_dqn(self.env.reset(roll_seed(self.episode_rng)))
         self.step_index = 0
-        self.episode = 0
-        self._episode_reward = 0.0
-        self._window: list[float] = []
 
     # -- one full Algorithm-style iteration ---------------------------------
 
@@ -226,24 +195,10 @@ class DqnTrainer:
         # timeouts bootstrap: they end the episode but are not true terminals
         self.buffer.push(Transition(self._vec, a, out.reward, next_vec, collision))
 
-        self.metrics.add_step(t, self.episode, out.reward, eps)
-        self.metrics.passed += out.cars_passed_this_step
-        if collision:
-            self.metrics.collided += out.next_state.collided_count
-        self._episode_reward += out.reward
-
+        self.metrics.record(t, out, eps)
         if out.terminal:
-            self._window.append(self._episode_reward)
-            if len(self._window) == WINDOW_EPISODES:
-                self.metrics.add_window(
-                    self.episode // WINDOW_EPISODES, float(np.mean(self._window))
-                )
-                self._window = []
-            self.episode += 1
-            self._episode_reward = 0.0
-            self._vec = encode_dqn(self.env.reset(_roll_seed(self.episode_rng)))
-        else:
-            self._vec = next_vec
+            next_vec = encode_dqn(self.env.reset(roll_seed(self.episode_rng)))
+        self._vec = next_vec
 
         if len(self.buffer) >= hp.learn_start:
             self._gradient_step()

@@ -19,6 +19,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import kernels
+from .metrics import RunMetrics
 
 
 class Action(IntEnum):
@@ -200,6 +201,42 @@ class DeepCarsEnv:
             terminal=self._terminal,
             cars_passed_this_step=passed,
         )
+
+
+def roll_seed(rng: np.random.Generator) -> int:
+    """The seed of the next episode in a stream of episodes."""
+    return int(rng.integers(0, 2**63))
+
+
+def greedy_steps(act, config: EnvConfig, seed: int):
+    """Endless greedy play: yields (state, action, outcome) for every step.
+
+    Episode seeds are drawn in turn from `default_rng(seed)`; `act(state)`
+    chooses each action. A new episode starts only when the step after a
+    terminal one is pulled, so `zip(range(n), greedy_steps(...))` steps the
+    environment exactly n times.
+    """
+    rng = np.random.default_rng(seed)
+    env = DeepCarsEnv(config)
+    while True:
+        state = env.reset(roll_seed(rng))
+        while True:
+            action = act(state)
+            out = env.step(action)
+            yield state, action, out
+            if out.terminal:
+                break
+            state = out.next_state
+
+
+def evaluate(act, config: EnvConfig, steps: int, seed: int) -> RunMetrics:
+    """Greedy rollout for a fixed number of environment steps."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    metrics = RunMetrics()
+    for t, (_, _, out) in zip(range(1, steps + 1), greedy_steps(act, config, seed)):
+        metrics.record(t, out, 0.0)
+    return metrics
 
 
 def render_ascii(state: EnvState) -> str:

@@ -29,6 +29,25 @@ class RunMetrics:
     validations: list = field(default_factory=list)  # (step, mean_rew, acc, is_best)
     passed: int = 0
     collided: int = 0
+    episode: int = 0  # episodes finished so far
+    _episode_reward: float = field(default=0.0, repr=False)
+    _window: list = field(default_factory=list, repr=False)  # finished episodes' rewards
+
+    def record(self, step, outcome, epsilon):
+        """Book one environment step: its row, its cars, and the episode it ends."""
+        self.add_step(step, self.episode, outcome.reward, epsilon)
+        self.passed += outcome.cars_passed_this_step
+        if outcome.terminal and outcome.reward < 0:
+            # a collision ends the episode, so the episode counter is the delta
+            self.collided += outcome.next_state.collided_count
+        self._episode_reward += outcome.reward
+        if outcome.terminal:
+            self._window.append(self._episode_reward)
+            if len(self._window) == WINDOW_EPISODES:
+                self.add_window(self.episode // WINDOW_EPISODES, float(np.mean(self._window)))
+                self._window = []
+            self.episode += 1
+            self._episode_reward = 0.0
 
     def add_step(self, step, episode, reward, epsilon):
         self.steps.append((int(step), int(episode), float(reward), float(epsilon)))

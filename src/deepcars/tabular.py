@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import TabularState, encode_tabular
-from .env import DeepCarsEnv, EnvConfig
-from .metrics import RunMetrics, WINDOW_EPISODES
+from .env import DeepCarsEnv, EnvConfig, roll_seed
+from .metrics import RunMetrics
 from .net import NumericError
 
 _ZERO_Q = np.zeros(3)
@@ -84,8 +84,10 @@ def select_action(
     return int(table.values(s).argmax())
 
 
-def _roll_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2**63))
+def greedy_policy(table: QTable):
+    """The greedy `act(state)` of a tabular agent, for `env.greedy_steps`."""
+    # epsilon 0 never draws, so no generator is needed
+    return lambda state: select_action(table, encode_tabular(state), 0.0, None)
 
 
 def train_tabular(
@@ -99,12 +101,8 @@ def train_tabular(
     table = QTable()
     metrics = RunMetrics()
     env = DeepCarsEnv(config)
-    state = env.reset(_roll_seed(episode_rng))
-    s = encode_tabular(state)
+    s = encode_tabular(env.reset(roll_seed(episode_rng)))
 
-    episode = 0
-    episode_reward = 0.0
-    window_rewards: list[float] = []
     for t in range(1, hp.train_steps + 1):
         a = select_action(table, s, hp.epsilon, action_rng)
         out = env.step(a)
@@ -112,56 +110,9 @@ def train_tabular(
         collision = out.terminal and out.reward < 0
         # a timeout is not a true terminal state: keep the bootstrap term
         q_update(table, s, a, out.reward, s_next, collision, hp)
-
-        metrics.add_step(t, episode, out.reward, hp.epsilon)
-        metrics.passed += out.cars_passed_this_step
-        if collision:
-            # a collision ends the episode, so the episode counter is the delta
-            metrics.collided += out.next_state.collided_count
-        episode_reward += out.reward
-
-        if out.terminal:
-            window_rewards.append(episode_reward)
-            if len(window_rewards) == WINDOW_EPISODES:
-                metrics.add_window(
-                    episode // WINDOW_EPISODES, float(np.mean(window_rewards))
-                )
-                window_rewards = []
-            episode += 1
-            episode_reward = 0.0
-            state = env.reset(_roll_seed(episode_rng))
-            s = encode_tabular(state)
-        else:
-            s = s_next
+        metrics.record(t, out, hp.epsilon)
+        s = encode_tabular(env.reset(roll_seed(episode_rng))) if out.terminal else s_next
     return table, metrics
-
-
-def evaluate_tabular(
-    table: QTable, config: EnvConfig, steps: int, seed: int
-) -> RunMetrics:
-    """Greedy rollout for `steps` environment steps; fresh episode seeds from `seed`."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    episode_rng = np.random.default_rng(seed)
-    metrics = RunMetrics()
-    env = DeepCarsEnv(config)
-    state = env.reset(_roll_seed(episode_rng))
-    s = encode_tabular(state)
-    episode = 0
-    for t in range(1, steps + 1):
-        a = select_action(table, s, 0.0, episode_rng)
-        out = env.step(a)
-        metrics.add_step(t, episode, out.reward, 0.0)
-        metrics.passed += out.cars_passed_this_step
-        if out.terminal and out.reward < 0:
-            metrics.collided += out.next_state.collided_count
-        if out.terminal:
-            episode += 1
-            state = env.reset(_roll_seed(episode_rng))
-            s = encode_tabular(state)
-        else:
-            s = encode_tabular(out.next_state)
-    return metrics
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,60 @@ def run_lookahead(config: EnvConfig, seed: int, steps: int):
 
 
 # ---------------------------------------------------------------------------
+# greedy rollout oracles: the per-loop bodies the library once kept in four
+# places, written out step by step around a policy `act(state)`
+
+
+def naive_evaluate(act, config: EnvConfig, steps: int, seed: int):
+    """Reference for env.evaluate; returns (step rows, passed, collided)."""
+    from deepcars.env import DeepCarsEnv
+
+    rng = np.random.default_rng(seed)
+    env = DeepCarsEnv(config)
+    state = env.reset(int(rng.integers(0, 2**63)))
+    rows = []
+    passed = 0
+    collided = 0
+    episode = 0
+    for t in range(1, steps + 1):
+        out = env.step(act(state))
+        rows.append((t, episode, out.reward, 0.0))
+        passed += out.cars_passed_this_step
+        if out.terminal:
+            if out.reward < 0:
+                collided += out.next_state.collided_count
+            episode += 1
+            state = env.reset(int(rng.integers(0, 2**63)))
+        else:
+            state = out.next_state
+    return rows, passed, collided
+
+
+def naive_validate(act, config: EnvConfig, episodes: int, seed: int):
+    """Reference for dqn.validate; returns (mean reward, accuracy %, passed, collided)."""
+    from deepcars.env import DeepCarsEnv
+
+    rng = np.random.default_rng(seed)
+    env = DeepCarsEnv(config)
+    total_reward = 0.0
+    passed = 0
+    collided = 0
+    for _ in range(episodes):
+        state = env.reset(int(rng.integers(0, 2**63)))
+        while True:
+            out = env.step(act(state))
+            total_reward += out.reward
+            passed += out.cars_passed_this_step
+            if out.terminal:
+                collided += out.next_state.collided_count
+                break
+            state = out.next_state
+    resolved = passed + collided
+    acc = 100.0 * passed / resolved if resolved else None
+    return total_reward / episodes, acc, passed, collided
+
+
+# ---------------------------------------------------------------------------
 # network oracles
 
 

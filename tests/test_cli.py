@@ -85,6 +85,25 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "lanez" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw,expected",
+    [("TRUE", "double_q=True"), ("No", "double_q=False"), ("ture", None), ("", None)],
+)
+def test_double_q_config_value(tmp_path, capsys, raw, expected):
+    cfg = tmp_path / "dqn.cfg"
+    cfg.write_text(f"double_q={raw}\n")
+    out = tmp_path / "run"
+    code = run(["train-dqn", "--config", str(cfg), "--hidden", "4", "--steps", "20",
+                "--learn-start", "10", "--out", str(out)])
+    if expected is None:
+        assert code == 2
+        assert "double_q" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert expected in (out / "config.txt").read_text()
+
+
 def test_bad_hidden_list_is_usage_error(capsys):
     code = run(["train-dqn", "--hidden", "16,,16", "--steps", "10"])
     assert code == 2
@@ -126,6 +145,10 @@ def test_evaluate_qtable_model(tmp_path, capsys):
                 "--steps", "400", "--seed", "2", "--out", str(tmp_path / "eval")])
     assert code == 0
     assert "accuracy" in capsys.readouterr().out
+    code = run(["evaluate", "--model", str(out / "qtable.txt"), "--lanes", "3",
+                "--steps", "0", "--out", str(tmp_path / "eval0")])
+    assert code == 2
+    assert "steps" in capsys.readouterr().err
 
 
 def test_demo_qtable_model(tmp_path, capsys):
@@ -138,6 +161,11 @@ def test_demo_qtable_model(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "episode 0 reward:" in text
+    code = run(["demo", "--model", str(out / "qtable.txt"), "--lanes", "3",
+                "--episodes", "0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--episodes" in captured.err and captured.out == ""
 
 
 def _qtable_for(distances):
@@ -151,16 +179,19 @@ def _qtable_for(distances):
     "kind,message",
     [
         ("mlp", "input size"),  # a 10-input net on the default 8x5 world
+        ("mlp-outputs", "2 outputs"),  # a net that can never steer right
         ("qtable-lanes", "for 3 lanes"),  # a 3-lane q-table on 5 lanes
         ("qtable-rows", "distance 8"),  # an 8-row q-table on 5 rows
     ],
-    ids=["mlp", "qtable-lanes", "qtable-rows"],
+    ids=["mlp", "mlp-outputs", "qtable-lanes", "qtable-rows"],
 )
 def test_evaluate_dimension_mismatch_is_usage_error(tmp_path, capsys, command, kind, message):
     model = tmp_path / "m.model"
     argv = [command, "--model", str(model)]
     if kind == "mlp":
         net.save_model(net.init_params([10, 4, 3], 0), model)
+    elif kind == "mlp-outputs":
+        net.save_model(net.init_params([43, 4, 2], 0), model)
     elif kind == "qtable-lanes":
         tabular.save_qtable(_qtable_for((1, 3, 8)), model)
     else:

@@ -7,12 +7,12 @@ from deepcars.dqn import (
     DqnHyperparams,
     DqnTrainer,
     epsilon_at,
-    evaluate_params,
+    greedy_policy,
     td_targets,
     train_dqn,
     validate,
 )
-from deepcars.env import EnvConfig
+from deepcars.env import EnvConfig, evaluate
 from deepcars.replay import Batch
 
 
@@ -238,9 +238,9 @@ def test_collision_transitions_stored_terminal():
     assert all(e.reward == -1.0 for e in terminal)
 
 
-def test_evaluate_params_counts_steps():
+def test_evaluate_counts_steps():
     params = net.init_params([43, 8, 3], 2)
-    run = evaluate_params(params, EnvConfig(), steps=300, seed=5)
+    run = evaluate(greedy_policy(params), EnvConfig(), steps=300, seed=5)
     assert len(run.steps) == 300
     assert run.passed + run.collided > 0
 

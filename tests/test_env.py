@@ -3,19 +3,24 @@ import copy
 import numpy as np
 import pytest
 
+from deepcars import dqn, net, tabular
+from deepcars.encoders import dqn_state_size
 from deepcars.env import (
     Action,
     ConfigError,
     DeepCarsEnv,
     EnvConfig,
     TerminalStateError,
+    evaluate,
     render_ascii,
     spawn_row,
 )
 
 from helpers import (
+    naive_evaluate,
     naive_spawn_row,
     naive_step,
+    naive_validate,
     parse_ascii,
     run_lookahead,
     state_from_ascii,
@@ -296,6 +301,28 @@ def test_spawn_row_matches_reference_and_draw_count():
                         assert np.array_equal(row, want_row)
                         assert type(new_anchor) is int and new_anchor == want_anchor
                         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "world",
+    [{}, {"occupancy_prob": 0.0}, {"max_episode_steps": 3}],
+    ids=["default", "empty-road", "three-step-episodes"],
+)
+def test_greedy_rollouts_match_reference_loops(world):
+    # evaluate and validate against loops written out step by step: the same
+    # episode seeds, step rows, episode counter and car counts
+    config = EnvConfig(**world)
+    table, _ = tabular.train_tabular(config, tabular.TabularHyperparams(train_steps=3_000), 1)
+    params = net.init_params([dqn_state_size(config), 8, 3], 4)
+    agents = {"tabular": tabular.greedy_policy(table), "mlp": dqn.greedy_policy(params)}
+    for seed in (0, 7, 2**40 + 3):
+        for act in agents.values():
+            run = evaluate(act, config, 700, seed)
+            rows, passed, collided = naive_evaluate(act, config, 700, seed)
+            assert run.steps == rows
+            assert (run.passed, run.collided) == (passed, collided)
+        result = dqn.validate(params, config, 5, seed)
+        assert tuple(result) == naive_validate(agents["mlp"], config, 5, seed)
 
 
 def test_lookahead_oracle_survives():

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from deepcars.encoders import TabularState
-from deepcars.env import EnvConfig
+from deepcars.env import EnvConfig, evaluate
 from deepcars.net import NumericError
 from deepcars.tabular import (
     QTable,
     TabularHyperparams,
-    evaluate_tabular,
+    greedy_policy,
     load_qtable,
     q_update,
     save_qtable,
@@ -146,14 +146,14 @@ def test_trained_table_beats_empty_table():
     config = EnvConfig(lanes=3)
     hp = TabularHyperparams(train_steps=20_000)
     table, _ = train_tabular(config, hp, seed=7)
-    trained = evaluate_tabular(table, config, steps=5_000, seed=100)
-    blank = evaluate_tabular(QTable(), config, steps=5_000, seed=100)
+    trained = evaluate(greedy_policy(table), config, steps=5_000, seed=100)
+    blank = evaluate(greedy_policy(QTable()), config, steps=5_000, seed=100)
     assert trained.accuracy() > blank.accuracy()
 
 
 def test_evaluate_empty_environment_vacuous():
     config = EnvConfig(lanes=3, occupancy_prob=0.0)
-    run = evaluate_tabular(QTable(), config, steps=500, seed=0)
+    run = evaluate(greedy_policy(QTable()), config, steps=500, seed=0)
     assert run.collided == 0
     assert run.accuracy() is None  # no cars resolved: vacuously perfect
 
