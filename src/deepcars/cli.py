@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Precedence for every
 setting is CLI flag > config file > built-in default, and each run drops a
 resolved key=value snapshot into its output directory.
+
+Settings are the fields of `EnvConfig`, `TabularHyperparams` and
+`DqnHyperparams`: a field's name is its config-file key (and its line in the
+snapshot), the type of its default picks the value parser, and its flag is
+`--` plus the name with dashes, or the spelling in `FLAG_NAMES`.
 """
 
 from __future__ import annotations
@@ -53,34 +58,34 @@ def _parse_bool(text: str) -> bool:
     return value in ("1", "true", "yes")
 
 
-ENV_KEYS = {
-    "lanes": int,
-    "rows": int,
-    "spawn_interval": int,
-    "occupancy_prob": float,
-    "max_episode_steps": int,
-    "seed": int,
+# the only fields whose flag is not `--` plus the field name with dashes
+FLAG_NAMES = {
+    "train_steps": "--steps",
+    "target_sync_period": "--target-sync",
+    "fast_validation_period": "--fast-val-period",
+    "fast_validation_episodes": "--fast-val-episodes",
+    "deep_validation_period": "--deep-val-period",
+    "deep_validation_episodes": "--deep-val-episodes",
+    "hidden_layers": "--hidden",
 }
-TABULAR_KEYS = {"gamma": float, "alpha": float, "epsilon": float, "train_steps": int}
-DQN_KEYS = {
-    "gamma": float,
-    "epsilon_start": float,
-    "epsilon_end": float,
-    "epsilon_decay_steps": int,
-    "batch_size": int,
-    "replay_capacity": int,
-    "target_sync_period": int,
-    "train_steps": int,
-    "learn_start": int,
-    "double_q": _parse_bool,
-    "hidden_layers": lambda v: tuple(int(p) for p in v.split(",")),
-    "learning_rate": float,
-    "optimizer": str,
-    "fast_validation_period": int,
-    "fast_validation_episodes": int,
-    "deep_validation_period": int,
-    "deep_validation_episodes": int,
-}
+
+
+def _value_parser(field):
+    """Parser of a flag or config-file value, chosen by the type of the field's default."""
+    kind = type(field.default)
+    return {bool: _parse_bool, tuple: _parse_hidden}.get(kind, kind)
+
+
+def _add_fields(parser, cls, groups=None):
+    """One flag per field of `cls`, stored under the field name; a flag that is
+    a key of `groups` goes into that argument group instead of `parser`."""
+    for field in dataclasses.fields(cls):
+        flag = FLAG_NAMES.get(field.name, "--" + field.name.replace("_", "-"))
+        target = (groups or {}).get(flag, parser)
+        if isinstance(field.default, bool):
+            target.add_argument(flag, dest=field.name, action="store_true", default=None)
+        else:
+            target.add_argument(flag, dest=field.name, type=_value_parser(field))
 
 
 def parse_kv_file(path) -> dict:
@@ -95,54 +100,37 @@ def parse_kv_file(path) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise CliUsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise CliUsageError(f"{path}:{lineno}: duplicate key {key!r}")
+            values[key] = value.strip()
     return values
 
 
-def _resolve(defaults: dict, converters: dict, file_values: dict, flag_values: dict):
-    """Apply defaults < config file < CLI flags; file keys must be in `converters`."""
-    resolved = dict(defaults)
-    for key, raw in file_values.items():
-        try:
-            resolved[key] = converters[key](raw)
-        except (ValueError, TypeError):
-            raise CliUsageError(f"invalid value for {key!r}: {raw!r}") from None
-    for key, value in flag_values.items():
-        if value is not None:
-            resolved[key] = value
-    return resolved
+def _resolve(cls, file_values: dict, args):
+    """Build `cls` from its defaults < config-file values < flags set in `args`."""
+    resolved = {}
+    for field in dataclasses.fields(cls):
+        if field.name in file_values:
+            raw = file_values[field.name]
+            try:
+                resolved[field.name] = _value_parser(field)(raw)
+            except (ValueError, argparse.ArgumentTypeError):
+                raise CliUsageError(f"invalid value for {field.name!r}: {raw!r}") from None
+        if getattr(args, field.name) is not None:
+            resolved[field.name] = getattr(args, field.name)
+    return cls(**resolved)
 
 
-def _split_file_values(file_values: dict, converters: dict) -> dict:
-    return {k: v for k, v in file_values.items() if k in converters}
-
-
-def _check_known(file_values: dict, *converter_maps):
-    known = set()
-    for m in converter_maps:
-        known |= set(m)
+def _settings(args, *classes):
+    """One instance per class in `classes`, resolved from flags and `--config`;
+    a config-file key that is a field of none of them is a usage error."""
+    file_values = parse_kv_file(args.config) if args.config else {}
+    known = {field.name for cls in classes for field in dataclasses.fields(cls)}
     for key in file_values:
         if key not in known:
             raise CliUsageError(f"unknown config key {key!r}")
-
-
-def _env_flag_values(args) -> dict:
-    return {
-        "lanes": args.lanes,
-        "rows": args.rows,
-        "spawn_interval": args.spawn_interval,
-        "occupancy_prob": args.occupancy_prob,
-        "max_episode_steps": args.max_episode_steps,
-        "seed": args.seed,
-    }
-
-
-def _build_env_config(args, file_values) -> EnvConfig:
-    defaults = {f.name: f.default for f in dataclasses.fields(EnvConfig)}
-    resolved = _resolve(
-        defaults, ENV_KEYS, _split_file_values(file_values, ENV_KEYS), _env_flag_values(args)
-    )
-    return EnvConfig(**resolved)
+    return [_resolve(cls, file_values, args) for cls in classes]
 
 
 def _kv_lines(obj) -> list[str]:
@@ -180,19 +168,7 @@ def _print_accuracy(label, run: metrics_mod.RunMetrics):
 
 
 def cmd_train_tabular(args) -> int:
-    file_values = parse_kv_file(args.config) if args.config else {}
-    _check_known(file_values, ENV_KEYS, TABULAR_KEYS)
-    config = _build_env_config(args, file_values)
-    defaults = {f.name: f.default for f in dataclasses.fields(TabularHyperparams)}
-    flag_values = {
-        "gamma": args.gamma,
-        "alpha": args.alpha,
-        "epsilon": args.epsilon,
-        "train_steps": args.steps,
-    }
-    hp = TabularHyperparams(
-        **_resolve(defaults, TABULAR_KEYS, _split_file_values(file_values, TABULAR_KEYS), flag_values)
-    )
+    config, hp = _settings(args, EnvConfig, TabularHyperparams)
     table, run = tabular.train_tabular(config, hp, config.seed)
     os.makedirs(args.out, exist_ok=True)
     qtable_path = os.path.join(args.out, "qtable.txt")
@@ -207,38 +183,11 @@ def cmd_train_tabular(args) -> int:
 
 
 def cmd_train_dqn(args) -> int:
-    file_values = parse_kv_file(args.config) if args.config else {}
-    _check_known(file_values, ENV_KEYS, DQN_KEYS)
-    config = _build_env_config(args, file_values)
-    defaults = {f.name: f.default for f in dataclasses.fields(dqn.DqnHyperparams)}
-    hidden = args.hidden
-    double_q = True if args.double_q else None
     if args.arch:
-        hidden = ARCH_PRESETS[args.arch]
+        args.hidden_layers = ARCH_PRESETS[args.arch]
         if args.arch in DOUBLE_Q_PRESETS:
-            double_q = True
-    flag_values = {
-        "gamma": args.gamma,
-        "epsilon_start": args.epsilon_start,
-        "epsilon_end": args.epsilon_end,
-        "epsilon_decay_steps": args.epsilon_decay_steps,
-        "batch_size": args.batch_size,
-        "replay_capacity": args.replay_capacity,
-        "target_sync_period": args.target_sync,
-        "train_steps": args.steps,
-        "learn_start": args.learn_start,
-        "double_q": double_q,
-        "hidden_layers": hidden,
-        "learning_rate": args.learning_rate,
-        "optimizer": args.optimizer,
-        "fast_validation_period": args.fast_val_period,
-        "fast_validation_episodes": args.fast_val_episodes,
-        "deep_validation_period": args.deep_val_period,
-        "deep_validation_episodes": args.deep_val_episodes,
-    }
-    hp = dqn.DqnHyperparams(
-        **_resolve(defaults, DQN_KEYS, _split_file_values(file_values, DQN_KEYS), flag_values)
-    )
+            args.double_q = True
+    config, hp = _settings(args, EnvConfig, dqn.DqnHyperparams)
     best, final, run = dqn.train_dqn(config, hp, config.seed)
     os.makedirs(args.out, exist_ok=True)
     final_path = os.path.join(args.out, "final.model")
@@ -305,9 +254,7 @@ def _load_model(path, config: EnvConfig):
 
 
 def cmd_evaluate(args) -> int:
-    file_values = parse_kv_file(args.config) if args.config else {}
-    _check_known(file_values, ENV_KEYS)
-    config = _build_env_config(args, file_values)
+    (config,) = _settings(args, EnvConfig)
     run = evaluate(_load_model(args.model, config), config, args.steps, config.seed)
     _print_accuracy("evaluation", run)
     os.makedirs(args.out, exist_ok=True)
@@ -324,9 +271,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    file_values = parse_kv_file(args.config) if args.config else {}
-    _check_known(file_values, ENV_KEYS)
-    config = _build_env_config(args, file_values)
+    (config,) = _settings(args, EnvConfig)
     if args.episodes < 1:
         raise CliUsageError(f"--episodes must be >= 1, got {args.episodes}")
     act = _load_model(args.model, config)
@@ -350,39 +295,15 @@ def cmd_demo(args) -> int:
 
 def cmd_plot(args) -> int:
     series = []
-    labels = []
     for path in args.csv:
         if not os.path.exists(path):
             raise CliUsageError(f"csv file not found: {path}")
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        if not lines:
-            raise CliUsageError(f"{path}: empty file")
-        header = lines[0].split(",")
-        if len(header) < 2:
-            raise CliUsageError(f"{path}: need at least two columns")
-        xs, ys = [], []
-        for lineno, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise CliUsageError(
-                    f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}"
-                )
-            try:
-                xs.append(float(cells[0]))
-                ys.append(float(cells[1]))
-            except ValueError:
-                raise CliUsageError(f"{path}:{lineno}: non-numeric cell") from None
-        if not xs:
-            raise CliUsageError(f"{path}: no data rows")
-        series.append((xs, ys))
-        labels.append(os.path.splitext(os.path.basename(path))[0])
+        series.append(metrics_mod.read_series(path))
+    labels = [os.path.splitext(os.path.basename(path))[0] for path in args.csv]
     if args.labels:
         labels = args.labels.split(",")
         if len(labels) != len(series):
-            raise CliUsageError(
-                f"{len(series)} series but {len(labels)} labels given"
-            )
+            raise CliUsageError(f"{len(series)} series but {len(labels)} labels given")
     metrics_mod.plot_svg(series, labels, args.out_file, title=args.title)
     print(f"chart: {args.out_file}")
     return 0
@@ -394,12 +315,7 @@ def cmd_plot(args) -> int:
 
 def _add_env_flags(p):
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--lanes", type=int)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--spawn-interval", dest="spawn_interval", type=int)
-    p.add_argument("--occupancy-prob", dest="occupancy_prob", type=float)
-    p.add_argument("--max-episode-steps", dest="max_episode_steps", type=int)
-    p.add_argument("--seed", type=int)
+    _add_fields(p, EnvConfig)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,37 +327,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-tabular", help="train the tabular Q-learning agent")
     _add_env_flags(p)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--steps", type=int)
+    _add_fields(p, TabularHyperparams)
     p.add_argument("--out", default="runs/train-tabular")
     p.set_defaults(func=cmd_train_tabular)
 
     p = sub.add_parser("train-dqn", help="train a DQN or Double-DQN agent")
     _add_env_flags(p)
-    p.add_argument("--hidden", type=_parse_hidden, help="comma-separated layer sizes")
-    p.add_argument(
+    arch = p.add_mutually_exclusive_group()
+    arch.add_argument(
         "--arch",
         choices=sorted(ARCH_PRESETS),
         help="named preset for --hidden (ddqn presets also enable --double-q)",
     )
-    p.add_argument("--double-q", dest="double_q", action="store_true", default=None)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--replay-capacity", dest="replay_capacity", type=int)
-    p.add_argument("--target-sync", dest="target_sync", type=int)
-    p.add_argument("--epsilon-start", dest="epsilon_start", type=float)
-    p.add_argument("--epsilon-end", dest="epsilon_end", type=float)
-    p.add_argument("--epsilon-decay-steps", dest="epsilon_decay_steps", type=int)
-    p.add_argument("--learn-start", dest="learn_start", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--fast-val-period", dest="fast_val_period", type=int)
-    p.add_argument("--fast-val-episodes", dest="fast_val_episodes", type=int)
-    p.add_argument("--deep-val-period", dest="deep_val_period", type=int)
-    p.add_argument("--deep-val-episodes", dest="deep_val_episodes", type=int)
+    _add_fields(p, dqn.DqnHyperparams, groups={"--hidden": arch})
     p.add_argument("--out", default="runs/train-dqn")
     p.set_defaults(func=cmd_train_dqn)
 

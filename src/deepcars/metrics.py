@@ -125,10 +125,16 @@ def write_csv(metrics: RunMetrics, out_dir) -> None:
     )
 
 
-def _read_rows(path, header):
+def _read_rows(path, header=None):
+    """(lineno, cells) per data row, each as wide as the first line, which must
+    read `header` unless that is None."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != ",".join(header):
+    if not lines:
+        raise CsvParseError(f"{path}:1: empty file")
+    if header is None:
+        header = lines[0].split(",")
+    elif lines[0] != ",".join(header):
         raise CsvParseError(f"{path}:1: expected header {','.join(header)!r}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -209,6 +215,20 @@ def read_csv(out_dir) -> RunMetrics:
     return metrics
 
 
+def read_series(path):
+    """(xs, ys) from the first two columns of a CSV with any header, for plotting."""
+    rows = _read_rows(path)
+    if not rows:
+        raise CsvParseError(f"{path}: no data rows")
+    if len(rows[0][1]) < 2:
+        raise CsvParseError(f"{path}:1: need at least two columns")
+    xs, ys = [], []
+    for lineno, cells in rows:
+        xs.append(_parse_float(path, lineno, cells[0]))
+        ys.append(_parse_float(path, lineno, cells[1]))
+    return xs, ys
+
+
 # ---------------------------------------------------------------------------
 # SVG line chart (deterministic byte output)
 
@@ -233,6 +253,10 @@ def plot_svg(series, labels, path, title: str = "") -> None:
     `series` is a list of (xs, ys) pairs of equal-length non-empty sequences.
     Fixed 960x540 canvas; identical input produces identical bytes.
     """
+    # imported here: xml.sax.saxutils pulls in urllib.request, which would add
+    # ~6 MB and ~40 ms to every command that imports this module
+    from xml.sax.saxutils import escape
+
     if not series:
         raise ValueError("plot_svg needs at least one series")
     if len(labels) != len(series):
@@ -275,7 +299,7 @@ def plot_svg(series, labels, path, title: str = "") -> None:
     if title:
         out.append(
             f'<text x="{SVG_WIDTH // 2}" y="28" font-family="sans-serif" '
-            f'font-size="18" text-anchor="middle">{title}</text>'
+            f'font-size="18" text-anchor="middle">{escape(title)}</text>'
         )
     for x in _ticks(xmin, xmax):
         out.append(
@@ -311,7 +335,7 @@ def plot_svg(series, labels, path, title: str = "") -> None:
         )
         out.append(
             f'<text x="{px1 - 112}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
+            f'font-size="12">{escape(label)}</text>'
         )
     out.append("</svg>")
     with open(path, "w", newline="\n") as fh:

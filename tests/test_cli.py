@@ -1,8 +1,11 @@
+import argparse
+from xml.dom import minidom
+
 import numpy as np
 import pytest
 
 from deepcars import net, tabular
-from deepcars.cli import ARCH_PRESETS, run
+from deepcars.cli import ARCH_PRESETS, build_parser, run
 from deepcars.encoders import TabularState
 from deepcars.metrics import read_csv
 
@@ -102,6 +105,99 @@ def test_double_q_config_value(tmp_path, capsys, raw, expected):
     else:
         assert code == 0
         assert expected in (out / "config.txt").read_text()
+
+
+def test_duplicate_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text("lanes=3\n# a comment\nlanes=4\n")
+    out = tmp_path / "run"
+    code = run(["train-tabular", "--config", str(cfg), "--steps", "10", "--out", str(out)])
+    assert code == 2
+    assert f"{cfg}:3: duplicate key 'lanes'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_unknown_optimizer_is_usage_error(tmp_path, capsys, where):
+    cfg = tmp_path / "dqn.cfg"
+    cfg.write_text("optimizer=foo\n")
+    out = tmp_path / "run"
+    argv = ["train-dqn", "--hidden", "4", "--steps", "20", "--learn-start", "10",
+            "--out", str(out)]
+    argv += ["--optimizer", "foo"] if where == "flag" else ["--config", str(cfg)]
+    assert run(argv) == 2
+    assert "foo" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Each subcommand's option strings. README and bench/run.py pass these, and the
+# flags derived from the settings dataclasses must spell them exactly so.
+OPTION_STRINGS = {
+    "train-tabular": [
+        "--alpha", "--config", "--epsilon", "--gamma", "--help", "--lanes",
+        "--max-episode-steps", "--occupancy-prob", "--out", "--rows", "--seed",
+        "--spawn-interval", "--steps", "-h",
+    ],
+    "train-dqn": [
+        "--arch", "--batch-size", "--config", "--deep-val-episodes", "--deep-val-period",
+        "--double-q", "--epsilon-decay-steps", "--epsilon-end", "--epsilon-start",
+        "--fast-val-episodes", "--fast-val-period", "--gamma", "--help", "--hidden",
+        "--lanes", "--learn-start", "--learning-rate", "--max-episode-steps",
+        "--occupancy-prob", "--optimizer", "--out", "--replay-capacity", "--rows",
+        "--seed", "--spawn-interval", "--steps", "--target-sync", "-h",
+    ],
+    "evaluate": [
+        "--config", "--help", "--lanes", "--max-episode-steps", "--model",
+        "--occupancy-prob", "--out", "--rows", "--seed", "--spawn-interval", "--steps", "-h",
+    ],
+    "demo": [
+        "--config", "--episodes", "--help", "--lanes", "--max-episode-steps", "--model",
+        "--occupancy-prob", "--rows", "--seed", "--spawn-interval", "-h",
+    ],
+    "plot": ["--help", "--labels", "--out", "--title", "-h", "-o"],
+}
+
+
+def test_option_strings_are_pinned():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: sorted(opt for action in p._actions for opt in action.option_strings)
+        for name, p in sub.choices.items()
+    }
+    assert found == OPTION_STRINGS
+
+
+def _tree_bytes(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train-tabular", "--lanes", "3", "--rows", "6", "--alpha", "0.3", "--epsilon", "0.1",
+         "--steps", "1500", "--seed", "4"],
+        ["train-dqn", "--arch", "ddqn16", "--optimizer", "sgd", "--learning-rate", "0.01",
+         "--batch-size", "8", "--target-sync", "50", "--steps", "400", "--learn-start", "50",
+         "--fast-val-period", "100", "--fast-val-episodes", "2", "--deep-val-period", "300",
+         "--deep-val-episodes", "2", "--epsilon-decay-steps", "200", "--seed", "6"],
+    ],
+    ids=["tabular", "dqn"],
+)
+def test_config_snapshot_reproduces_its_run(tmp_path, argv):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(argv + ["--out", str(first)]) == 0
+    assert run([argv[0], "--config", str(first / "config.txt"), "--out", str(again)]) == 0
+    assert _tree_bytes(again) == _tree_bytes(first)
+
+
+def test_arch_and_hidden_are_exclusive(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run(["train-dqn", "--arch", "ddqn16", "--hidden", "64,64", "--steps", "20",
+                "--out", str(out)])
+    assert code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_hidden_list_is_usage_error(capsys):
@@ -241,6 +337,37 @@ def test_plot_command_renders_svg(tmp_path):
 def test_plot_missing_file_usage_error(tmp_path, capsys):
     code = run(["plot", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "x.svg")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", ":1: empty file"),
+        ("window\n0\n", ":1: need at least two columns"),
+        ("window,mean_reward\n", ": no data rows"),
+        ("window,mean_reward\n0,1.5\n1,2.5,3\n", ":3: expected 2 columns, got 3"),
+        ("window,mean_reward\n0,1.5\n1,oops\n", ":3: bad number 'oops'"),
+    ],
+    ids=["empty", "one-column", "header-only", "ragged", "non-numeric"],
+)
+def test_plot_malformed_csv_names_line(tmp_path, capsys, text, message):
+    csv = tmp_path / "w.csv"
+    csv.write_text(text)
+    out = tmp_path / "x.svg"
+    assert run(["plot", str(csv), "-o", str(out)]) == 2
+    assert f"{csv}{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plot_escapes_title_and_labels(tmp_path):
+    csv = tmp_path / "windows.csv"
+    csv.write_text("window,mean_reward\n0,10.5\n1,12.0\n")
+    out = tmp_path / "chart.svg"
+    assert run(["plot", str(csv), "-o", str(out), "--title", "A<B & C",
+                "--labels", "x>y&z"]) == 0
+    texts = [node.firstChild.data for node in
+             minidom.parse(str(out)).getElementsByTagName("text")]
+    assert "A<B & C" in texts and "x>y&z" in texts
 
 
 def test_arch_presets_cover_paper_architectures():
