@@ -144,11 +144,8 @@ def _kv_lines(obj) -> list[str]:
 
 
 def _write_snapshot(out_dir, sections: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config.txt")
-    lines = [line for obj in sections.values() for line in _kv_lines(obj)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    metrics_mod.write_lines(path, [line for obj in sections.values() for line in _kv_lines(obj)])
     return path
 
 
@@ -170,7 +167,6 @@ def _print_accuracy(label, run: metrics_mod.RunMetrics):
 def cmd_train_tabular(args) -> int:
     config, hp = _settings(args, EnvConfig, TabularHyperparams)
     table, run = tabular.train_tabular(config, hp, config.seed)
-    os.makedirs(args.out, exist_ok=True)
     qtable_path = os.path.join(args.out, "qtable.txt")
     tabular.save_qtable(table, qtable_path)
     metrics_mod.write_csv(run, args.out)
@@ -189,19 +185,16 @@ def cmd_train_dqn(args) -> int:
             args.double_q = True
     config, hp = _settings(args, EnvConfig, dqn.DqnHyperparams)
     best, final, run = dqn.train_dqn(config, hp, config.seed)
-    os.makedirs(args.out, exist_ok=True)
     final_path = os.path.join(args.out, "final.model")
     best_path = os.path.join(args.out, "best.model")
     net.save_model(final, final_path, hp.optimizer)
     net.save_model(best.params, best_path, hp.optimizer)
     meta_path = best_path + ".meta"
-    lines = [
+    metrics_mod.write_lines(meta_path, [
         f"training_step={best.training_step}",
         f"mean_validation_reward={best.mean_validation_reward!r}",
         *_kv_lines(hp),
-    ]
-    with open(meta_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ])
     metrics_mod.write_csv(run, args.out)
     snapshot = _write_snapshot(args.out, {"env": config, "hyperparams": hp})
     _print_accuracy("training", run)
@@ -257,13 +250,14 @@ def cmd_evaluate(args) -> int:
     (config,) = _settings(args, EnvConfig)
     run = evaluate(_load_model(args.model, config), config, args.steps, config.seed)
     _print_accuracy("evaluation", run)
-    os.makedirs(args.out, exist_ok=True)
     summary = os.path.join(args.out, "evaluation.txt")
-    with open(summary, "w") as fh:
-        acc = run.accuracy()
-        fh.write(f"steps={args.steps}\n")
-        fh.write(f"passed={run.passed}\ncollided={run.collided}\n")
-        fh.write(f"accuracy={'n/a' if acc is None else repr(acc)}\n")
+    acc = run.accuracy()
+    metrics_mod.write_lines(summary, [
+        f"steps={args.steps}",
+        f"passed={run.passed}",
+        f"collided={run.collided}",
+        f"accuracy={'n/a' if acc is None else repr(acc)}",
+    ])
     snapshot = _write_snapshot(args.out, {"env": config})
     print(f"summary: {summary}")
     print(f"config snapshot: {snapshot}")

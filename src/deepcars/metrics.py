@@ -1,10 +1,7 @@
-"""Run statistics: accuracy metric, CSV persistence, standalone SVG charts.
+"""Run statistics: accuracy metric, CSV persistence, standalone SVG charts,
+and `write_lines`, the atomic writer of every artifact file.
 
-CSV layout (one file per record family, written into a directory):
-    steps.csv       step,episode,reward,epsilon
-    windows.csv     window,mean_reward
-    validation.csv  step,mean_reward,accuracy,is_new_best
-    summary.csv     passed,collided
+A run directory holds one CSV per record family; `_FAMILIES` declares them.
 """
 
 from __future__ import annotations
@@ -81,14 +78,30 @@ def accuracy(passed: int, collided: int):
 
 
 # ---------------------------------------------------------------------------
-# CSV persistence
+# artifact files and CSV persistence
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def write_lines(path, lines) -> None:
+    """Write `lines` (strings without their newline) to `path` atomically.
+
+    The lines stream into a temp file beside `path`, which replaces `path`
+    only once all of them are written: a failure or a killed process leaves
+    any old file intact. Every artifact of a run is written through here;
+    the parent directory is created on demand.
+    """
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _fmt(value) -> str:
@@ -101,28 +114,35 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+# column type of `accuracy`: a float, or n/a (None) when no car resolved
+_FLOAT_OR_NA = "float or n/a"
+
+# One entry per CSV record family: its file, the RunMetrics list it holds
+# (None for the single summary row of passed and collided cars), and its
+# (column, type) pairs. Both write_csv and read_csv are loops over this table.
+_FAMILIES = (
+    ("steps.csv", "steps",
+     (("step", int), ("episode", int), ("reward", float), ("epsilon", float))),
+    ("windows.csv", "windows", (("window", int), ("mean_reward", float))),
+    ("validation.csv", "validations",
+     (("step", int), ("mean_reward", float), ("accuracy", _FLOAT_OR_NA), ("is_new_best", bool))),
+    ("summary.csv", None, (("passed", int), ("collided", int))),
+)
+
+
+def _csv_lines(columns, records):
+    yield ",".join(name for name, _ in columns)
+    for rec in records:
+        yield ",".join(_fmt(v) for v in rec)
+
+
 def write_csv(metrics: RunMetrics, out_dir) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    _write_rows(
-        os.path.join(out_dir, "steps.csv"),
-        ("step", "episode", "reward", "epsilon"),
-        ([_fmt(v) for v in rec] for rec in metrics.steps),
-    )
-    _write_rows(
-        os.path.join(out_dir, "windows.csv"),
-        ("window", "mean_reward"),
-        ([_fmt(v) for v in rec] for rec in metrics.windows),
-    )
-    _write_rows(
-        os.path.join(out_dir, "validation.csv"),
-        ("step", "mean_reward", "accuracy", "is_new_best"),
-        ([_fmt(v) for v in rec] for rec in metrics.validations),
-    )
-    _write_rows(
-        os.path.join(out_dir, "summary.csv"),
-        ("passed", "collided"),
-        [[str(metrics.passed), str(metrics.collided)]],
-    )
+    for name, attr, columns in _FAMILIES:
+        if attr is None:
+            records = [(int(metrics.passed), int(metrics.collided))]
+        else:
+            records = getattr(metrics, attr)
+        write_lines(os.path.join(out_dir, name), _csv_lines(columns, records))
 
 
 def _read_rows(path, header=None):
@@ -147,71 +167,37 @@ def _read_rows(path, header=None):
     return rows
 
 
-def _parse_float(path, lineno, text):
+def _parse(path, lineno, kind, text):
+    """One cell of a column of type `kind`: int, float, bool or _FLOAT_OR_NA."""
+    if kind is _FLOAT_OR_NA and text == "n/a":
+        return None
+    integral = kind in (int, bool)
     try:
-        return float(text)
+        value = int(text) if integral else float(text)
     except ValueError:
-        raise CsvParseError(f"{path}:{lineno}: bad number {text!r}") from None
-
-
-def _parse_int(path, lineno, text):
-    try:
-        return int(text)
-    except ValueError:
-        raise CsvParseError(f"{path}:{lineno}: bad integer {text!r}") from None
-
-
-def _check_monotone(path, values):
-    for a, b in zip(values, values[1:]):
-        if b < a:
-            raise CsvParseError(f"{path}: step indices are not monotone")
+        what = "integer" if integral else "number"
+        raise CsvParseError(f"{path}:{lineno}: bad {what} {text!r}") from None
+    return bool(value) if kind is bool else value
 
 
 def read_csv(out_dir) -> RunMetrics:
     """Exact inverse of write_csv."""
     metrics = RunMetrics()
-    path = os.path.join(out_dir, "steps.csv")
-    for lineno, (step, episode, reward, epsilon) in _read_rows(
-        path, ("step", "episode", "reward", "epsilon")
-    ):
-        metrics.steps.append(
-            (
-                _parse_int(path, lineno, step),
-                _parse_int(path, lineno, episode),
-                _parse_float(path, lineno, reward),
-                _parse_float(path, lineno, epsilon),
-            )
-        )
-    _check_monotone(path, [rec[0] for rec in metrics.steps])
-
-    path = os.path.join(out_dir, "windows.csv")
-    for lineno, (window, mean_reward) in _read_rows(path, ("window", "mean_reward")):
-        metrics.windows.append(
-            (_parse_int(path, lineno, window), _parse_float(path, lineno, mean_reward))
-        )
-    _check_monotone(path, [rec[0] for rec in metrics.windows])
-
-    path = os.path.join(out_dir, "validation.csv")
-    for lineno, (step, mean_reward, acc, best) in _read_rows(
-        path, ("step", "mean_reward", "accuracy", "is_new_best")
-    ):
-        metrics.validations.append(
-            (
-                _parse_int(path, lineno, step),
-                _parse_float(path, lineno, mean_reward),
-                None if acc == "n/a" else _parse_float(path, lineno, acc),
-                bool(_parse_int(path, lineno, best)),
-            )
-        )
-    _check_monotone(path, [rec[0] for rec in metrics.validations])
-
-    path = os.path.join(out_dir, "summary.csv")
-    rows = _read_rows(path, ("passed", "collided"))
-    if len(rows) != 1:
-        raise CsvParseError(f"{path}: expected exactly one summary row")
-    lineno, (passed, collided) = rows[0]
-    metrics.passed = _parse_int(path, lineno, passed)
-    metrics.collided = _parse_int(path, lineno, collided)
+    for name, attr, columns in _FAMILIES:
+        path = os.path.join(out_dir, name)
+        records = [
+            tuple(_parse(path, lineno, kind, cell) for (_, kind), cell in zip(columns, cells))
+            for lineno, cells in _read_rows(path, [column for column, _ in columns])
+        ]
+        if attr is None:
+            if len(records) != 1:
+                raise CsvParseError(f"{path}: expected exactly one summary row")
+            metrics.passed, metrics.collided = records[0]
+            continue
+        for a, b in zip(records, records[1:]):
+            if b[0] < a[0]:
+                raise CsvParseError(f"{path}: step indices are not monotone")
+        setattr(metrics, attr, records)
     return metrics
 
 
@@ -224,8 +210,8 @@ def read_series(path):
         raise CsvParseError(f"{path}:1: need at least two columns")
     xs, ys = [], []
     for lineno, cells in rows:
-        xs.append(_parse_float(path, lineno, cells[0]))
-        ys.append(_parse_float(path, lineno, cells[1]))
+        xs.append(_parse(path, lineno, float, cells[0]))
+        ys.append(_parse(path, lineno, float, cells[1]))
     return xs, ys
 
 
@@ -338,5 +324,4 @@ def plot_svg(series, labels, path, title: str = "") -> None:
             f'font-size="12">{escape(label)}</text>'
         )
     out.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    write_lines(path, out)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .metrics import write_lines
 
 
 class ShapeError(ValueError):
@@ -146,8 +147,8 @@ def make_optimizer(
 ) -> OptimizerState:
     if algorithm not in ("adam", "sgd"):
         raise ValueError(f"unknown optimizer {algorithm!r}")
-    if learning_rate <= 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+    if not 0 < learning_rate < np.inf:  # false for nan too
+        raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
     return OptimizerState(
         algorithm=algorithm,
         learning_rate=learning_rate,
@@ -195,8 +196,7 @@ def save_model(params: MlpParams, path, optimizer: str = "adam") -> None:
     for k in range(params.n_layers):
         lines.append(f"w{k} " + _fmt(params.weight(k).ravel()))
         lines.append(f"b{k} " + _fmt(params.bias(k)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_model(path) -> tuple[MlpParams, str]:
@@ -234,5 +234,7 @@ def load_model(path) -> tuple[MlpParams, str]:
             raise ModelFormatError(
                 f"{path}: block {label!r} has {values.size} values, expected {view.size}"
             )
+        if not np.isfinite(values).all():
+            raise ModelFormatError(f"{path}: block {label!r} holds a non-finite value")
         view[...] = values.reshape(view.shape)
     return params, optimizer

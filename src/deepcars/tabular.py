@@ -9,7 +9,7 @@ import numpy as np
 
 from .encoders import TabularState, encode_tabular
 from .env import DeepCarsEnv, EnvConfig, roll_seed
-from .metrics import RunMetrics
+from .metrics import RunMetrics, write_lines
 from .net import NumericError
 
 _ZERO_Q = np.zeros(3)
@@ -120,13 +120,11 @@ def train_tabular(
 
 
 def save_qtable(table: QTable, path) -> None:
-    with open(path, "w") as fh:
-        for state in sorted(table.entries):
-            ints = " ".join(
-                str(v) for v in (state.ego_lane_id, *state.distances)
-            )
-            qs = " ".join(repr(float(q)) for q in table.entries[state])
-            fh.write(f"{ints} | {qs}\n")
+    write_lines(path, (
+        " ".join(str(v) for v in (state.ego_lane_id, *state.distances))
+        + " | " + " ".join(repr(float(q)) for q in table.entries[state])
+        for state in sorted(table.entries)
+    ))
 
 
 def load_qtable(path) -> QTable:
@@ -148,6 +146,12 @@ def load_qtable(path) -> QTable:
                 raise ValueError(
                     f"{path}:{lineno}: expected ego+distances and 3 Q-values"
                 )
+            if min(ints) < 0:
+                raise ValueError(f"{path}:{lineno}: negative lane or distance")
+            if not all(map(math.isfinite, qs)):
+                raise ValueError(f"{path}:{lineno}: non-finite Q-value")
             state = TabularState(ints[0], tuple(ints[1:]))
+            if state in table.entries:
+                raise ValueError(f"{path}:{lineno}: repeated state {left.strip()!r}")
             table.entries[state] = np.array(qs)
     return table

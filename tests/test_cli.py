@@ -1,9 +1,13 @@
 import argparse
+import os
+import subprocess
+import sys
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 
+import deepcars
 from deepcars import net, tabular
 from deepcars.cli import ARCH_PRESETS, build_parser, run
 from deepcars.encoders import TabularState
@@ -128,6 +132,42 @@ def test_unknown_optimizer_is_usage_error(tmp_path, capsys, where):
     assert run(argv) == 2
     assert "foo" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_non_finite_learning_rate_is_usage_error(tmp_path, capsys, where, rate):
+    cfg = tmp_path / "dqn.cfg"
+    cfg.write_text(f"learning_rate={rate}\n")
+    out = tmp_path / "run"
+    argv = ["train-dqn", "--hidden", "4", "--steps", "20", "--learn-start", "10",
+            "--out", str(out)]
+    argv += ["--learning-rate", rate] if where == "flag" else ["--config", str(cfg)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "learning_rate" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_training_is_identical_across_blas_thread_counts(tmp_path):
+    # a deep net, so the batch-32 products are large enough for OpenBLAS to
+    # split them over threads; 1000 gradient steps and three validations
+    src = os.path.dirname(os.path.dirname(deepcars.__file__))
+    artifacts = ("best.model", "final.model", "steps.csv", "validation.csv")
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-c", "from deepcars.cli import main; main()",
+             "train-dqn", "--arch", "deep", "--steps", "1500", "--learn-start", "500",
+             "--fast-val-period", "500", "--seed", "4", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        runs.append({name: (out / name).read_bytes() for name in artifacts})
+    assert len(read_csv(tmp_path / "threads-1").validations) == 3
+    assert runs[0] == runs[1]
 
 
 # Each subcommand's option strings. README and bench/run.py pass these, and the
@@ -322,6 +362,23 @@ def test_demo_corrupt_model_names_version(tmp_path, capsys):
     code = run(["demo", "--model", str(model)])
     assert code == 2
     assert "mlp-v0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["mlp", "qtable"])
+def test_evaluate_non_finite_model_is_usage_error(tmp_path, capsys, kind):
+    # argmax over NaN always picks LEFT, so such a model would score silently
+    model = tmp_path / "m.model"
+    if kind == "mlp":
+        net.save_model(net.init_params([43, 16, 16, 3], 0), model)
+        lines = model.read_text().splitlines()
+        model.write_text("\n".join(lines[:-1] + ["b2 nan nan nan"]) + "\n")
+    else:
+        model.write_text("2 8 8 8 8 8 | nan 0.0 0.0\n")
+    out = tmp_path / "eval"
+    code = run(["evaluate", "--model", str(model), "--steps", "200", "--out", str(out)])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plot_command_renders_svg(tmp_path):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from deepcars.metrics import (
     plot_svg,
     read_csv,
     write_csv,
+    write_lines,
 )
 
 from helpers import metrics_equal
@@ -90,6 +93,32 @@ def test_non_monotone_steps_rejected(tmp_path):
     path.write_text("step,episode,reward,epsilon\n5,0,1.0,0.5\n3,0,1.0,0.5\n")
     with pytest.raises(CsvParseError, match="monotone"):
         read_csv(tmp_path)
+
+
+def test_failed_csv_write_keeps_old_file(tmp_path):
+    write_csv(_sample_metrics(), tmp_path)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    bad = RunMetrics()
+    bad.add_step(1, 0, 1.0, 0.5)
+    bad.steps.append((2, 0, "not a number", 0.5))
+    with pytest.raises(ValueError):
+        write_csv(bad, tmp_path)
+    after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert after == before  # steps.csv keeps its old bytes, and no temp file is left
+
+
+def test_write_lines_failing_iterator_keeps_old_file(tmp_path):
+    path = tmp_path / "sub" / "artifact.txt"
+    write_lines(path, ["old", "lines"])  # creates the missing directory
+
+    def lines():
+        yield "new"
+        raise RuntimeError("killed mid-write")
+
+    with pytest.raises(RuntimeError, match="mid-write"):
+        write_lines(path, lines())
+    assert path.read_bytes() == b"old\nlines\n"
+    assert os.listdir(path.parent) == ["artifact.txt"]
 
 
 def test_plot_single_constant_series_horizontal(tmp_path):

@@ -264,3 +264,14 @@ def test_model_version_mismatch_fails_loudly(tmp_path):
     path.write_text(text)
     with pytest.raises(ModelFormatError, match="deepcars-mlp-v9"):
         net.load_model(path)
+
+
+def test_model_with_non_finite_weights_fails_loudly(tmp_path):
+    p = net.init_params([43, 16, 16, 3], 0)
+    path = tmp_path / "model.txt"
+    net.save_model(p, path)
+    lines = path.read_text().splitlines()
+    assert lines[-1].startswith("b2 ")
+    path.write_text("\n".join(lines[:-1] + ["b2 nan nan nan"]) + "\n")
+    with pytest.raises(ModelFormatError, match="'b2'.*non-finite"):
+        net.load_model(path)

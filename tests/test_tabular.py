@@ -172,10 +172,21 @@ def test_qtable_roundtrip(tmp_path):
         assert np.array_equal(loaded.entries[key], table.entries[key])
 
 
-def test_qtable_parse_error_names_line(tmp_path):
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("bogus line without separator", "missing '|'"),
+        ("1 2 3 5 | nan 0.0 0.0", "non-finite"),
+        ("1 2 3 6 | 0.0 -inf 0.0", "non-finite"),
+        ("1 2 3 4 | 0.0 0.0 0.0", "repeated state"),
+        ("1 -1 3 4 | 0.0 0.0 0.0", "negative"),
+    ],
+    ids=["no-separator", "nan", "inf", "repeated", "negative-distance"],
+)
+def test_qtable_parse_error_names_line(tmp_path, line, message):
     path = tmp_path / "qtable.txt"
-    path.write_text("1 2 3 4 | 0.5 0.25 -0.125\nbogus line without separator\n")
-    with pytest.raises(ValueError, match=":2"):
+    path.write_text(f"1 2 3 4 | 0.5 0.25 -0.125\n{line}\n")
+    with pytest.raises(ValueError, match=f":2: {message}"):
         load_qtable(path)
 
 
