@@ -219,12 +219,12 @@ def _load_model(path, config: EnvConfig):
     if first.startswith("format "):
         params, _ = net.load_model(path)
         expected = dqn_state_size(config)
-        if int(params.layer_dims[0]) != expected:
+        if params.layer_dims[0] != expected:
             raise CliUsageError(
-                f"model expects input size {int(params.layer_dims[0])}, "
+                f"model expects input size {params.layer_dims[0]}, "
                 f"environment produces {expected}; adjust --lanes/--rows"
             )
-        outputs = int(params.layer_dims[-1])
+        outputs = params.layer_dims[-1]
         if outputs != len(Action):
             raise CliUsageError(f"model has {outputs} outputs, one per action needs {len(Action)}")
         return dqn.greedy_policy(params)

@@ -216,8 +216,6 @@ class DqnTrainer:
     def _gradient_step(self) -> None:
         hp = self.hp
         batch = self.buffer.sample(hp.batch_size, self.replay_rng)
-        if batch is None:
-            return
         y = td_targets(batch, self.online, self.target, hp.gamma, hp.double_q)
         q = net.forward(self.online, batch.states)
         rows = np.arange(len(y))

@@ -12,7 +12,6 @@ row. The grid stores traffic only; the ego is tracked by its lane index.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -115,18 +114,16 @@ class DeepCarsEnv:
     def __init__(self, config: EnvConfig):
         self.config = config
         self._grid = np.zeros((config.rows, config.lanes), dtype=np.uint8)
-        self._ego = config.lanes // 2
-        self._steps = 0
-        self._passed = 0
-        self._collided = 0
-        self._spawned = 0
-        self._terminal = False
-        self._anchor = self._ego
-        self._rng = np.random.default_rng(config.seed)
+        self._start(config.seed)
 
     def reset(self, seed: int | None = None) -> EnvState:
         """Start a fresh episode; the RNG stream is fully determined by `seed`."""
-        self._rng = np.random.default_rng(self.config.seed if seed is None else seed)
+        self._start(self.config.seed if seed is None else seed)
+        return self.state
+
+    def _start(self, seed: int) -> None:
+        # __init__ calls this, not reset, so each reset call is one episode start
+        self._rng = np.random.default_rng(seed)
         self._grid[:] = 0
         self._ego = self.config.lanes // 2
         self._steps = 0
@@ -135,7 +132,6 @@ class DeepCarsEnv:
         self._spawned = 0
         self._terminal = False
         self._anchor = self._ego
-        return self.state
 
     @property
     def state(self) -> EnvState:
@@ -169,9 +165,6 @@ class DeepCarsEnv:
             if not 0 <= ego_lane < self.config.lanes:
                 raise ConfigError(f"ego_lane {ego_lane} outside [0, {self.config.lanes})")
             self._ego = int(ego_lane)
-
-    def clone(self) -> "DeepCarsEnv":
-        return copy.deepcopy(self)
 
     def step(self, action: int) -> StepOutcome:
         if self._terminal:

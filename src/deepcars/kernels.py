@@ -2,35 +2,15 @@
 
 There is one backend: every kernel is plain numpy.
 
-Network parameters live in one flat float64 vector `theta` laid out by an
-int64 `dims` array [n_in, h1, ..., n_out]; layer k occupies a row-major
-(out x in) weight block followed by its bias block. The dense passes take
-`layers`, one (W.T, b) pair of views into `theta` per layer, built once per
-parameter set (`net.MlpParams.layers`).
+The dense passes take `layers`, one (W.T, b) pair per layer. These are views
+into a flat parameter vector whose layout `net.MlpParams` declares, and
+`mlp_backward` returns its gradient in that same layout.
 """
 
 import numpy as np
 
 # bench/worker.py reads these for its machine record; no numba backend exists.
 HAVE_NUMBA = NUMBA_ENABLED = False
-
-
-def total_params(dims) -> int:
-    """Length of the flat parameter vector for the given layer dims."""
-    dims = np.asarray(dims, dtype=np.int64)
-    return int(sum(dims[k + 1] * (dims[k] + 1) for k in range(len(dims) - 1)))
-
-
-def layer_offsets(dims):
-    """Per-layer (weight_start, bias_start, end) offsets into the flat vector."""
-    offs = []
-    pos = 0
-    dims = np.asarray(dims, dtype=np.int64)
-    for k in range(len(dims) - 1):
-        n_in, n_out = int(dims[k]), int(dims[k + 1])
-        offs.append((pos, pos + n_out * n_in, pos + n_out * (n_in + 1)))
-        pos += n_out * (n_in + 1)
-    return offs
 
 
 def mlp_forward(layers, x):

@@ -6,6 +6,7 @@ A run directory holds one CSV per record family; `_FAMILIES` declares them.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -174,9 +175,12 @@ def _parse(path, lineno, kind, text):
     integral = kind in (int, bool)
     try:
         value = int(text) if integral else float(text)
+        finite = integral or math.isfinite(value)  # no artifact holds nan or inf
     except ValueError:
+        finite = False
+    if not finite:
         what = "integer" if integral else "number"
-        raise CsvParseError(f"{path}:{lineno}: bad {what} {text!r}") from None
+        raise CsvParseError(f"{path}:{lineno}: bad {what} {text!r}")
     return bool(value) if kind is bool else value
 
 

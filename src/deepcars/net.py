@@ -30,31 +30,42 @@ class ModelFormatError(ValueError):
 MODEL_FORMAT_TAG = "deepcars-mlp-v1"
 
 
+def _theta_size(dims) -> int:
+    """Length of `theta` for layer dims [n_in, h1, ..., n_out]."""
+    if len(dims) < 2 or min(dims) < 1:
+        raise ShapeError(f"layer dims must be >= 2 positive sizes, got {list(dims)}")
+    return sum(n_out * (n_in + 1) for n_in, n_out in zip(dims, dims[1:]))
+
+
 @dataclass(eq=False)
 class MlpParams:
     """Flat parameters of one MLP plus per-layer views into them.
 
+    This is the one declaration of the layout: for each layer in turn,
+    `theta` holds a row-major (out x in) weight block, then its bias block.
     `theta` is mutated in place and never rebound: `layers`, one (W.T, b)
     pair of views into `theta` per layer, is built once at construction and
     would go stale if `theta` were replaced by another array.
     """
 
-    layer_dims: np.ndarray  # int64, [n_in, h1, ..., n_out]
+    layer_dims: tuple  # Python ints, [n_in, h1, ..., n_out]
     theta: np.ndarray  # flat float64, C-contiguous
     layers: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = [int(d) for d in self.layer_dims]
-        if len(dims) < 2 or min(dims) < 1:
-            raise ShapeError(f"layer dims must be >= 2 positive sizes, got {dims}")
-        if self.theta.shape != (kernels.total_params(dims),):
-            raise ShapeError(f"theta of shape {self.theta.shape} does not fit dims {dims}")
+        self.layer_dims = dims = tuple(int(d) for d in self.layer_dims)
+        if self.theta.shape != (_theta_size(dims),):
+            raise ShapeError(f"theta of shape {self.theta.shape} does not fit dims {list(dims)}")
         if not self.theta.flags.c_contiguous:
             raise ShapeError("theta must be C-contiguous so layer views alias it")
-        self.layers = tuple(
-            (self.theta[w0:b0].reshape(dims[k + 1], dims[k]).T, self.theta[b0:end])
-            for k, (w0, b0, end) in enumerate(kernels.layer_offsets(dims))
-        )
+        layers = []
+        pos = 0
+        for n_in, n_out in zip(dims, dims[1:]):
+            bias_at = pos + n_out * n_in
+            weight = self.theta[pos:bias_at].reshape(n_out, n_in)
+            layers.append((weight.T, self.theta[bias_at : bias_at + n_out]))
+            pos = bias_at + n_out
+        self.layers = tuple(layers)
 
     def weight(self, k: int) -> np.ndarray:
         """Row-major (out x in) weight matrix of layer k, as a view."""
@@ -70,16 +81,13 @@ class MlpParams:
 
 def init_params(layer_dims, seed: int) -> MlpParams:
     """Fan-in-scaled uniform weights, zero biases, deterministic in `seed`."""
-    dims = np.asarray(layer_dims, dtype=np.int64)
-    if len(dims) < 2 or np.any(dims < 1):
-        raise ShapeError(f"layer dims must be >= 2 positive sizes, got {list(dims)}")
-    theta = np.zeros(kernels.total_params(dims))
+    params = MlpParams(layer_dims, np.zeros(_theta_size(layer_dims)))
     rng = np.random.default_rng(seed)
-    for k, (w0, b0, _) in enumerate(kernels.layer_offsets(dims)):
-        fan_in = int(dims[k])
-        scale = 1.0 / np.sqrt(fan_in)
-        theta[w0:b0] = rng.uniform(-scale, scale, b0 - w0)
-    return MlpParams(layer_dims=dims, theta=theta)
+    for k in range(params.n_layers):
+        weight = params.weight(k)
+        scale = 1.0 / np.sqrt(weight.shape[1])
+        weight[...] = rng.uniform(-scale, scale, weight.size).reshape(weight.shape)
+    return params
 
 
 def _as_batch(x, width, what):
@@ -116,12 +124,12 @@ def backward(params: MlpParams, x, output_gradient) -> np.ndarray:
 
 
 def clone(params: MlpParams) -> MlpParams:
-    return MlpParams(layer_dims=params.layer_dims.copy(), theta=params.theta.copy())
+    return MlpParams(params.layer_dims, params.theta.copy())
 
 
 def clone_into(source: MlpParams, target: MlpParams) -> None:
     """Copy source parameters into target storage, bit-exactly."""
-    if not np.array_equal(source.layer_dims, target.layer_dims):
+    if source.layer_dims != target.layer_dims:
         raise ShapeError(
             f"cannot clone dims {list(source.layer_dims)} into {list(target.layer_dims)}"
         )
@@ -190,7 +198,7 @@ def save_model(params: MlpParams, path, optimizer: str = "adam") -> None:
     """Versioned text format: dims, optimizer tag, then per-layer w/b blocks."""
     lines = [
         f"format {MODEL_FORMAT_TAG}",
-        "dims " + ",".join(str(int(d)) for d in params.layer_dims),
+        "dims " + ",".join(map(str, params.layer_dims)),
         f"optimizer {optimizer}",
     ]
     for k in range(params.n_layers):
@@ -212,9 +220,13 @@ def load_model(path) -> tuple[MlpParams, str]:
         )
     if len(lines) < 3 or not lines[1].startswith("dims ") or not lines[2].startswith("optimizer "):
         raise ModelFormatError(f"{path}: malformed header")
-    dims = np.array([int(d) for d in lines[1][5:].split(",")], dtype=np.int64)
+    dims_text = lines[1][5:]
+    try:
+        dims = tuple(int(d) for d in dims_text.split(","))
+        params = MlpParams(dims, np.zeros(_theta_size(dims)))
+    except ValueError as exc:  # ShapeError included
+        raise ModelFormatError(f"{path}: bad dims {dims_text!r}: {exc}") from None
     optimizer = lines[2].split(" ", 1)[1]
-    params = MlpParams(layer_dims=dims, theta=np.zeros(kernels.total_params(dims)))
     blocks = [
         (f"{kind}{k}", view)
         for k in range(params.n_layers)
@@ -229,7 +241,10 @@ def load_model(path) -> tuple[MlpParams, str]:
         key, _, payload = line.partition(" ")
         if key != label:
             raise ModelFormatError(f"{path}: expected block {label!r}, found {key!r}")
-        values = np.array([float(v) for v in payload.split()], dtype=np.float64)
+        try:
+            values = np.array([float(v) for v in payload.split()], dtype=np.float64)
+        except ValueError as exc:
+            raise ModelFormatError(f"{path}: block {label!r}: {exc}") from None
         if values.size != view.size:
             raise ModelFormatError(
                 f"{path}: block {label!r} has {values.size} values, expected {view.size}"

@@ -7,6 +7,7 @@ the library code under test never checks itself.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -320,6 +321,31 @@ def naive_forward(weights, biases, x):
             out.append(s)
         a = out
     return np.array(a)
+
+
+def layer_offsets(dims):
+    """(weight_start, bias_start, end) of each layer in a flat parameter vector
+    holding, layer by layer, a row-major (out x in) weight block, then its bias."""
+    offsets = []
+    pos = 0
+    for k in range(len(dims) - 1):
+        n_in, n_out = int(dims[k]), int(dims[k + 1])
+        offsets.append((pos, pos + n_out * n_in, pos + n_out * n_in + n_out))
+        pos += n_out * n_in + n_out
+    return offsets
+
+
+def naive_init_params(dims, seed):
+    """Flat parameters as init_params must draw them: per layer, the row-major
+    weights from one uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draw, then zeros."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for k in range(len(dims) - 1):
+        n_in, n_out = dims[k], dims[k + 1]
+        scale = 1.0 / math.sqrt(n_in)
+        blocks.append(rng.uniform(-scale, scale, n_out * n_in))
+        blocks.append(np.zeros(n_out))
+    return np.concatenate(blocks)
 
 
 def finite_diff_grad(params, x, dout, step=1e-5):

@@ -404,8 +404,10 @@ def test_plot_missing_file_usage_error(tmp_path, capsys):
         ("window,mean_reward\n", ": no data rows"),
         ("window,mean_reward\n0,1.5\n1,2.5,3\n", ":3: expected 2 columns, got 3"),
         ("window,mean_reward\n0,1.5\n1,oops\n", ":3: bad number 'oops'"),
+        ("x,y\n0,1\n1,nan\n2,3\n", ":3: bad number 'nan'"),
+        ("x,y\n0,1\ninf,2\n2,3\n", ":3: bad number 'inf'"),
     ],
-    ids=["empty", "one-column", "header-only", "ragged", "non-numeric"],
+    ids=["empty", "one-column", "header-only", "ragged", "non-numeric", "nan", "inf"],
 )
 def test_plot_malformed_csv_names_line(tmp_path, capsys, text, message):
     csv = tmp_path / "w.csv"

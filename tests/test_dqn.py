@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from deepcars import net
-from deepcars.kernels import layer_offsets
 from deepcars.dqn import (
     DqnHyperparams,
     DqnTrainer,
@@ -14,6 +13,8 @@ from deepcars.dqn import (
 )
 from deepcars.env import EnvConfig, evaluate
 from deepcars.replay import Batch
+
+from helpers import layer_offsets
 
 
 SMALL_HP = DqnHyperparams(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from deepcars import net
-from deepcars.kernels import layer_offsets
 from deepcars.net import (
     ModelFormatError,
     NumericError,
@@ -14,8 +13,10 @@ from deepcars.net import (
 from helpers import (
     finite_diff_grad,
     kink_free_input,
+    layer_offsets,
     max_relative_error,
     naive_forward,
+    naive_init_params,
 )
 
 
@@ -161,6 +162,13 @@ def test_init_deterministic_and_shaped():
     assert not np.array_equal(a.theta, c.theta)
 
 
+@pytest.mark.parametrize("dims", [[4, 3], [6, 5, 3], [43, 16, 16, 3], [43, 64, 128, 128, 64, 3]])
+def test_init_params_draw_order_matches_reference(dims):
+    for seed in (0, 808):
+        expect = naive_init_params(dims, seed)
+        assert net.init_params(dims, seed).theta.tobytes() == expect.tobytes()
+
+
 def test_init_variance_matches_uniform_scale():
     # uniform(-s, s) has variance s^2/3; check within 10% over 1e5 draws
     p = net.init_params([500, 200, 3], 13)
@@ -224,7 +232,7 @@ def test_layer_views_follow_theta(mutate, tmp_path):
     x = np.linspace(-1.0, 1.0, 6)
     net.forward(p, x)
     p = mutate(p, tmp_path)
-    dims = [int(d) for d in p.layer_dims]
+    dims = p.layer_dims
     weights, biases = [], []
     for k, (w0, b0, end) in enumerate(layer_offsets(dims)):
         weights.append(p.theta[w0:b0].reshape(dims[k + 1], dims[k]).tolist())
@@ -235,15 +243,11 @@ def test_layer_views_follow_theta(mutate, tmp_path):
         assert np.shares_memory(p.bias(k), p.theta)
 
 
-def test_params_reject_dims_and_theta_that_cannot_be_viewed(tmp_path):
+def test_params_reject_dims_and_theta_that_cannot_be_viewed():
     with pytest.raises(ShapeError):
         net.MlpParams(layer_dims=np.array([2, 1]), theta=np.zeros(4))
     with pytest.raises(ShapeError):
         net.MlpParams(layer_dims=np.array([2, 1]), theta=np.zeros(6)[::2])
-    path = tmp_path / "one-layer.model"
-    path.write_text("format deepcars-mlp-v1\ndims 43\noptimizer adam\n")
-    with pytest.raises(ShapeError):
-        net.load_model(path)
 
 
 def test_model_save_load_roundtrip(tmp_path):
@@ -275,3 +279,23 @@ def test_model_with_non_finite_weights_fails_loudly(tmp_path):
     path.write_text("\n".join(lines[:-1] + ["b2 nan nan nan"]) + "\n")
     with pytest.raises(ModelFormatError, match="'b2'.*non-finite"):
         net.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "line,replacement,message",
+    [
+        ("b1 ", "b1 0.0 abc 0.0", "'b1'.*could not convert string to float: 'abc'"),
+        ("dims ", "dims 43,x,3", "bad dims '43,x,3'.*invalid literal"),
+        ("dims ", "dims 43,-4,3", "bad dims '43,-4,3'.*positive sizes"),
+        ("dims ", "dims 43", "bad dims '43'.*positive sizes"),
+    ],
+    ids=["bad-float", "bad-int-dims", "negative-dims", "one-layer-dims"],
+)
+def test_malformed_model_names_file_and_block(tmp_path, line, replacement, message):
+    path = tmp_path / "model.txt"
+    net.save_model(net.init_params([43, 4, 3], 0), path)
+    lines = [replacement if ln.startswith(line) else ln for ln in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match=message) as info:
+        net.load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
