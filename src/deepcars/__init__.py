@@ -16,10 +16,10 @@ from .env import (
     DeepCarsEnv,
     EnvConfig,
     EnvState,
+    Episodes,
     StepOutcome,
     TerminalStateError,
     evaluate,
-    greedy_steps,
     render_ascii,
     spawn_row,
 )

@@ -19,7 +19,7 @@ import dataclasses
 
 from . import dqn, metrics as metrics_mod, net, tabular
 from .encoders import dqn_state_size
-from .env import Action, ConfigError, EnvConfig, evaluate, greedy_steps, render_ascii
+from .env import Action, ConfigError, EnvConfig, Episodes, evaluate, render_ascii
 from .net import ModelFormatError
 from .tabular import TabularHyperparams
 
@@ -209,9 +209,9 @@ def cmd_train_dqn(args) -> int:
 
 
 def _load_model(path, config: EnvConfig):
-    """Return the greedy `act(state)` of the model in `path` (an MLP or a
-    q-table, told apart by the file header), refusing a model whose shape
-    does not fit the world `config` describes."""
+    """Return the greedy `(act, encode)` pair of the model in `path` (an MLP
+    or a q-table, told apart by the file header), refusing a model whose
+    shape does not fit the world `config` describes."""
     if not os.path.exists(path):
         raise CliUsageError(f"model file not found: {path}")
     with open(path) as fh:
@@ -268,10 +268,13 @@ def cmd_demo(args) -> int:
     (config,) = _settings(args, EnvConfig)
     if args.episodes < 1:
         raise CliUsageError(f"--episodes must be >= 1, got {args.episodes}")
-    act = _load_model(args.model, config)
+    act, encode = _load_model(args.model, config)
+    # the stream hands over raw states, which the transcript prints
+    stream = Episodes(config, lambda state: state, config.seed)
     episode = 0
     total = 0.0
-    for state, a, out in greedy_steps(act, config, config.seed):
+    while episode < args.episodes:
+        state, a, out, _ = stream.step(lambda state: act(encode(state)))
         if state.step_count == 0:
             print(f"episode {episode}")
             print(render_ascii(state))
@@ -283,8 +286,7 @@ def cmd_demo(args) -> int:
             print(f"episode {episode} reward: {total:.0f}")
             episode += 1
             total = 0.0
-            if episode == args.episodes:
-                return 0
+    return 0
 
 
 def cmd_plot(args) -> int:
@@ -380,3 +382,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import net
 from .encoders import dqn_state_size, encode_dqn
-from .env import DeepCarsEnv, EnvConfig, greedy_steps, roll_seed
+from .env import EnvConfig, Episodes, roll_seed
 from .metrics import RunMetrics, accuracy
 from .net import MlpParams, NumericError
 from .replay import Batch, ReplayBuffer, Transition
@@ -119,8 +119,8 @@ def greedy_action(params: MlpParams, state_vec: np.ndarray) -> int:
 
 
 def greedy_policy(params: MlpParams):
-    """The greedy `act(state)` of an MLP agent, for `env.greedy_steps`."""
-    return lambda state: greedy_action(params, encode_dqn(state))
+    """The greedy `(act, encode)` pair of an MLP agent."""
+    return lambda vec: greedy_action(params, vec), encode_dqn
 
 
 def validate(
@@ -129,18 +129,18 @@ def validate(
     """Greedy rollouts on fresh environment instances; parameters untouched."""
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
+    act, encode = greedy_policy(params)
+    stream = Episodes(config, encode, seed)
     total_reward = 0.0
     passed = 0
     collided = 0
     finished = 0
-    for _, _, out in greedy_steps(greedy_policy(params), config, seed):
+    while finished < episodes:
+        out = stream.step(act)[2]
         total_reward += out.reward
         passed += out.cars_passed_this_step
-        if out.terminal:
-            collided += out.next_state.collided_count
-            finished += 1
-            if finished == episodes:
-                break
+        collided += out.cars_collided_this_step
+        finished += out.terminal
     return ValidationResult(
         mean_reward=total_reward / episodes,
         accuracy_pct=accuracy(passed, collided),
@@ -160,9 +160,9 @@ class DqnTrainer:
         dims = [state_dim, *hp.hidden_layers, 3]
 
         seq = np.random.SeedSequence(seed).spawn(4)
-        init_seed = int(np.random.default_rng(seq[0]).integers(0, 2**63))
+        init_seed = roll_seed(np.random.default_rng(seq[0]))
         self.action_rng = np.random.default_rng(seq[1])
-        self.episode_rng = np.random.default_rng(seq[2])
+        self.episodes = Episodes(config, encode_dqn, seq[2])
         self.replay_rng = np.random.default_rng(seq[3])
         self._val_master = seed ^ VALIDATION_SEED_XOR
 
@@ -172,9 +172,6 @@ class DqnTrainer:
         self.buffer = ReplayBuffer(hp.replay_capacity, state_dim)
         self.metrics = RunMetrics()
         self.best: Checkpoint | None = None
-
-        self.env = DeepCarsEnv(config)
-        self._vec = encode_dqn(self.env.reset(roll_seed(self.episode_rng)))
         self.step_index = 0
 
     # -- one full Algorithm-style iteration ---------------------------------
@@ -182,23 +179,10 @@ class DqnTrainer:
     def train_step(self) -> None:
         hp = self.hp
         t = self.step_index + 1
-        eps = epsilon_at(hp, self.step_index)
-
-        if self.action_rng.random() < eps:
-            a = int(self.action_rng.integers(0, 3))
-        else:
-            a = greedy_action(self.online, self._vec)
-
-        out = self.env.step(a)
-        next_vec = encode_dqn(out.next_state)
-        collision = out.terminal and out.reward < 0
+        s, a, out, s_next = self.episodes.step(self._act)
         # timeouts bootstrap: they end the episode but are not true terminals
-        self.buffer.push(Transition(self._vec, a, out.reward, next_vec, collision))
-
-        self.metrics.record(t, out, eps)
-        if out.terminal:
-            next_vec = encode_dqn(self.env.reset(roll_seed(self.episode_rng)))
-        self._vec = next_vec
+        self.buffer.push(Transition(s, a, out.reward, s_next, out.cars_collided_this_step > 0))
+        self.metrics.record(t, out, epsilon_at(hp, self.step_index))
 
         if len(self.buffer) >= hp.learn_start:
             self._gradient_step()
@@ -213,6 +197,12 @@ class DqnTrainer:
 
         self.step_index = t
 
+    def _act(self, vec: np.ndarray) -> int:
+        # epsilon-greedy; the action generator draws on every step
+        if self.action_rng.random() < epsilon_at(self.hp, self.step_index):
+            return int(self.action_rng.integers(0, 3))
+        return greedy_action(self.online, vec)
+
     def _gradient_step(self) -> None:
         hp = self.hp
         batch = self.buffer.sample(hp.batch_size, self.replay_rng)
@@ -226,11 +216,7 @@ class DqnTrainer:
         net.gradient_step(self.online, grad, self.opt)
 
     def _validation_phase(self, step: int, episodes: int) -> None:
-        seed = int(
-            np.random.default_rng(
-                np.random.SeedSequence([self._val_master, step])
-            ).integers(0, 2**63)
-        )
+        seed = roll_seed(np.random.default_rng(np.random.SeedSequence([self._val_master, step])))
         result = validate(self.online, self.config, episodes, seed)
         is_best = self.best is None or (
             result.mean_reward > self.best.mean_validation_reward

@@ -80,6 +80,7 @@ class StepOutcome:
     reward: float  # +1.0, or -1.0 exactly on collision
     terminal: bool
     cars_passed_this_step: int
+    cars_collided_this_step: int  # > 0 exactly on collision, which ends the episode
 
 
 def spawn_row(rng, config: EnvConfig, anchor_lane: int):
@@ -155,11 +156,13 @@ class DeepCarsEnv:
     def set_state(self, grid: np.ndarray | None = None, ego_lane: int | None = None):
         """Overwrite the live grid/ego for scripted scenarios."""
         if grid is not None:
-            grid = np.asarray(grid, dtype=np.uint8)
+            grid = np.asarray(grid)
             if grid.shape != self._grid.shape:
                 raise ConfigError(
                     f"grid shape {grid.shape} does not match {self._grid.shape}"
                 )
+            if not np.isin(grid, (0, 1)).all():  # before the cast to uint8 can wrap or truncate
+                raise ConfigError("grid cells must be 0 or 1")
             self._grid[:] = grid
         if ego_lane is not None:
             if not 0 <= ego_lane < self.config.lanes:
@@ -193,6 +196,7 @@ class DeepCarsEnv:
             reward=-1.0 if collision else 1.0,
             terminal=self._terminal,
             cars_passed_this_step=passed,
+            cars_collided_this_step=collided,
         )
 
 
@@ -201,34 +205,42 @@ def roll_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-def greedy_steps(act, config: EnvConfig, seed: int):
-    """Endless greedy play: yields (state, action, outcome) for every step.
+class Episodes:
+    """One seeded stream of episodes; each `step` is one environment step.
 
-    Episode seeds are drawn in turn from `default_rng(seed)`; `act(state)`
-    chooses each action. A new episode starts only when the step after a
-    terminal one is pulled, so `zip(range(n), greedy_steps(...))` steps the
-    environment exactly n times.
+    Episode seeds are drawn in turn from `default_rng(seed)`, and states reach
+    the agent through `encode`, once each. An episode starts only when the
+    step after a terminal one is taken. The env, the episode generator and
+    the pending encoded state are attributes, so a stream can be saved whole.
     """
-    rng = np.random.default_rng(seed)
-    env = DeepCarsEnv(config)
-    while True:
-        state = env.reset(roll_seed(rng))
-        while True:
-            action = act(state)
-            out = env.step(action)
-            yield state, action, out
-            if out.terminal:
-                break
-            state = out.next_state
+
+    def __init__(self, config: EnvConfig, encode, seed):
+        self.env = DeepCarsEnv(config)
+        self.rng = np.random.default_rng(seed)
+        self.encode = encode
+        self.state = None  # encoded state the next step acts on; None between episodes
+
+    def step(self, act):
+        """One step chosen by `act(encoded state)`: (s, action, outcome, s_next)."""
+        s = self.state
+        if s is None:
+            s = self.encode(self.env.reset(roll_seed(self.rng)))
+        action = act(s)
+        out = self.env.step(action)
+        s_next = self.encode(out.next_state)
+        self.state = None if out.terminal else s_next
+        return s, action, out, s_next
 
 
-def evaluate(act, config: EnvConfig, steps: int, seed: int) -> RunMetrics:
-    """Greedy rollout for a fixed number of environment steps."""
+def evaluate(policy, config: EnvConfig, steps: int, seed: int) -> RunMetrics:
+    """Greedy rollout of an `(act, encode)` policy for a fixed number of steps."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    act, encode = policy
+    episodes = Episodes(config, encode, seed)
     metrics = RunMetrics()
-    for t, (_, _, out) in zip(range(1, steps + 1), greedy_steps(act, config, seed)):
-        metrics.record(t, out, 0.0)
+    for t in range(1, steps + 1):
+        metrics.record(t, episodes.step(act)[2], 0.0)
     return metrics
 
 

@@ -35,9 +35,7 @@ class RunMetrics:
         """Book one environment step: its row, its cars, and the episode it ends."""
         self.add_step(step, self.episode, outcome.reward, epsilon)
         self.passed += outcome.cars_passed_this_step
-        if outcome.terminal and outcome.reward < 0:
-            # a collision ends the episode, so the episode counter is the delta
-            self.collided += outcome.next_state.collided_count
+        self.collided += outcome.cars_collided_this_step
         self._episode_reward += outcome.reward
         if outcome.terminal:
             self._window.append(self._episode_reward)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import TabularState, encode_tabular
-from .env import DeepCarsEnv, EnvConfig, roll_seed
+from .env import EnvConfig, Episodes
 from .metrics import RunMetrics, write_lines
 from .net import NumericError
 
@@ -85,9 +85,9 @@ def select_action(
 
 
 def greedy_policy(table: QTable):
-    """The greedy `act(state)` of a tabular agent, for `env.greedy_steps`."""
+    """The greedy `(act, encode)` pair of a tabular agent."""
     # epsilon 0 never draws, so no generator is needed
-    return lambda state: select_action(table, encode_tabular(state), 0.0, None)
+    return lambda s: select_action(table, s, 0.0, None), encode_tabular
 
 
 def train_tabular(
@@ -96,22 +96,19 @@ def train_tabular(
     """Run epsilon-greedy Q-learning for hp.train_steps environment steps."""
     seq = np.random.SeedSequence(seed).spawn(2)
     action_rng = np.random.default_rng(seq[0])
-    episode_rng = np.random.default_rng(seq[1])
+    episodes = Episodes(config, encode_tabular, seq[1])
 
     table = QTable()
     metrics = RunMetrics()
-    env = DeepCarsEnv(config)
-    s = encode_tabular(env.reset(roll_seed(episode_rng)))
+
+    def act(s):
+        return select_action(table, s, hp.epsilon, action_rng)
 
     for t in range(1, hp.train_steps + 1):
-        a = select_action(table, s, hp.epsilon, action_rng)
-        out = env.step(a)
-        s_next = encode_tabular(out.next_state)
-        collision = out.terminal and out.reward < 0
+        s, a, out, s_next = episodes.step(act)
         # a timeout is not a true terminal state: keep the bootstrap term
-        q_update(table, s, a, out.reward, s_next, collision, hp)
+        q_update(table, s, a, out.reward, s_next, out.cars_collided_this_step > 0, hp)
         metrics.record(t, out, hp.epsilon)
-        s = encode_tabular(env.reset(roll_seed(episode_rng))) if out.terminal else s_next
     return table, metrics
 
 

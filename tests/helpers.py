@@ -302,6 +302,94 @@ def naive_validate(act, config: EnvConfig, episodes: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
+# training-loop oracles: each trainer's episode stream written out with its
+# own env, its own episode generator and its own step ledger
+
+
+def naive_ledger(booked):
+    """Reference for RunMetrics.record over one run's (outcome, epsilon) per step."""
+    from deepcars.metrics import RunMetrics
+
+    metrics = RunMetrics()
+    episode_reward = 0.0
+    window = []
+    for t, (out, eps) in enumerate(booked, start=1):
+        metrics.steps.append((t, metrics.episode, out.reward, eps))
+        metrics.passed += out.cars_passed_this_step
+        episode_reward += out.reward
+        if out.terminal:
+            if out.reward < 0:
+                metrics.collided += out.next_state.collided_count
+            window.append(episode_reward)
+            episode_reward = 0.0
+            if len(window) == 100:
+                metrics.windows.append((metrics.episode // 100, float(np.mean(window))))
+                window = []
+            metrics.episode += 1
+    return metrics
+
+
+def naive_train_tabular(config: EnvConfig, hp, seed: int):
+    """Reference for tabular.train_tabular; returns (q-table, metrics)."""
+    from deepcars.encoders import encode_tabular
+    from deepcars.env import DeepCarsEnv
+    from deepcars.tabular import QTable, q_update, select_action
+
+    seq = np.random.SeedSequence(seed).spawn(2)
+    action_rng = np.random.default_rng(seq[0])
+    episode_rng = np.random.default_rng(seq[1])
+    table = QTable()
+    env = DeepCarsEnv(config)
+    s = encode_tabular(env.reset(int(episode_rng.integers(0, 2**63))))
+    booked = []
+    for _ in range(hp.train_steps):
+        a = select_action(table, s, hp.epsilon, action_rng)
+        out = env.step(a)
+        s_next = encode_tabular(out.next_state)
+        collision = out.terminal and out.reward < 0
+        q_update(table, s, a, out.reward, s_next, collision, hp)
+        booked.append((out, hp.epsilon))
+        if out.terminal:
+            s = encode_tabular(env.reset(int(episode_rng.integers(0, 2**63))))
+        else:
+            s = s_next
+    return table, naive_ledger(booked)
+
+
+def naive_dqn_rollout(config: EnvConfig, hp, seed: int, steps: int):
+    """Reference for `steps` DqnTrainer.train_step calls that never learn
+    (learn_start > steps): returns (stored transitions, metrics)."""
+    from deepcars.dqn import epsilon_at
+    from deepcars.encoders import dqn_state_size, encode_dqn
+    from deepcars.env import DeepCarsEnv
+
+    seq = np.random.SeedSequence(seed).spawn(4)
+    dims = [dqn_state_size(config), *hp.hidden_layers, 3]
+    params = net.init_params(dims, int(np.random.default_rng(seq[0]).integers(0, 2**63)))
+    action_rng = np.random.default_rng(seq[1])
+    episode_rng = np.random.default_rng(seq[2])
+    env = DeepCarsEnv(config)
+    vec = encode_dqn(env.reset(int(episode_rng.integers(0, 2**63))))
+    stored = []
+    booked = []
+    for i in range(steps):
+        eps = epsilon_at(hp, i)
+        if action_rng.random() < eps:
+            a = int(action_rng.integers(0, 3))
+        else:
+            a = int(net.forward(params, vec).argmax())
+        out = env.step(a)
+        next_vec = encode_dqn(out.next_state)
+        stored.append((vec, a, out.reward, next_vec, out.terminal and out.reward < 0))
+        booked.append((out, eps))
+        if out.terminal:
+            vec = encode_dqn(env.reset(int(episode_rng.integers(0, 2**63))))
+        else:
+            vec = next_vec
+    return stored, naive_ledger(booked)
+
+
+# ---------------------------------------------------------------------------
 # network oracles
 
 

@@ -149,22 +149,39 @@ def test_non_finite_learning_rate_is_usage_error(tmp_path, capsys, where, rate):
     assert not out.exists()
 
 
+def _python_m_cli(args, **env):
+    """`python -m deepcars.cli <args>` in a fresh interpreter, with the
+    package's source directory on PYTHONPATH and `env` added."""
+    src = os.path.dirname(os.path.dirname(deepcars.__file__))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "deepcars.cli", *args],
+                          env=env, capture_output=True, text=True)
+
+
+def test_python_m_cli_runs_the_entry_point(tmp_path):
+    usage = _python_m_cli(["--help"])
+    assert usage.returncode == 0
+    assert usage.stdout.startswith("usage: deepcars")
+    missing = _python_m_cli(["evaluate", "--model", str(tmp_path / "missing.model"),
+                             "--out", str(tmp_path / "eval")])
+    assert missing.returncode == 2
+    assert "model file not found" in missing.stderr
+
+
 def test_training_is_identical_across_blas_thread_counts(tmp_path):
     # a deep net, so the batch-32 products are large enough for OpenBLAS to
     # split them over threads; 1000 gradient steps and three validations
-    src = os.path.dirname(os.path.dirname(deepcars.__file__))
     artifacts = ("best.model", "final.model", "steps.csv", "validation.csv")
     runs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run(
-            [sys.executable, "-c", "from deepcars.cli import main; main()",
-             "train-dqn", "--arch", "deep", "--steps", "1500", "--learn-start", "500",
+        done = _python_m_cli(
+            ["train-dqn", "--arch", "deep", "--steps", "1500", "--learn-start", "500",
              "--fast-val-period", "500", "--seed", "4", "--out", str(out)],
-            env=env, check=True, capture_output=True,
+            OPENBLAS_NUM_THREADS=threads,
         )
+        assert done.returncode == 0, done.stderr
         runs.append({name: (out / name).read_bytes() for name in artifacts})
     assert len(read_csv(tmp_path / "threads-1").validations) == 3
     assert runs[0] == runs[1]

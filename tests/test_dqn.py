@@ -14,7 +14,7 @@ from deepcars.dqn import (
 from deepcars.env import EnvConfig, evaluate
 from deepcars.replay import Batch
 
-from helpers import layer_offsets
+from helpers import layer_offsets, metrics_equal, naive_dqn_rollout
 
 
 SMALL_HP = DqnHyperparams(
@@ -237,6 +237,38 @@ def test_collision_transitions_stored_terminal():
     terminal = [e for e in entries if e.terminal]
     assert terminal
     assert all(e.reward == -1.0 for e in terminal)
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 9])
+@pytest.mark.parametrize(
+    "world",
+    [{}, {"lanes": 3}, {"max_episode_steps": 3}],
+    ids=["default", "three-lanes", "three-step-episodes"],
+)
+def test_rollout_matches_reference_loop(world, seed):
+    # no learning, so the stored transitions and the step ledger show the
+    # episode stream, the epsilon draws and the terminal flags alone
+    config = EnvConfig(**world)
+    hp = DqnHyperparams(
+        hidden_layers=(8,),
+        epsilon_start=0.5,
+        epsilon_end=0.1,
+        epsilon_decay_steps=300,
+        learn_start=10_000,
+        fast_validation_period=10_000,
+        deep_validation_period=20_000,
+    )
+    trainer = DqnTrainer(config, hp, seed)
+    for _ in range(600):
+        trainer.train_step()
+    stored, want_metrics = naive_dqn_rollout(config, hp, seed, 600)
+    entries = trainer.buffer.entries()
+    assert len(entries) == len(stored)
+    for got, (state, action, reward, next_state, terminal) in zip(entries, stored):
+        assert np.array_equal(got.state, state)
+        assert np.array_equal(got.next_state, next_state)
+        assert (got.action, got.reward, got.terminal) == (action, reward, terminal)
+    assert metrics_equal(trainer.metrics, want_metrics)
 
 
 def test_evaluate_counts_steps():

@@ -10,6 +10,7 @@ from deepcars.env import (
     ConfigError,
     DeepCarsEnv,
     EnvConfig,
+    Episodes,
     TerminalStateError,
     evaluate,
     render_ascii,
@@ -57,6 +58,16 @@ def test_reset_three_lanes_starts_middle():
 def test_config_bounds_rejected(kwargs, fragment):
     with pytest.raises(ConfigError, match=fragment):
         EnvConfig(**kwargs)
+
+
+@pytest.mark.parametrize("cell", [2, 0.5, -1, 300])
+def test_set_state_refuses_non_binary_cells(cell):
+    # 2 would count as two cars, 0.5 would truncate to 0, -1 and 300 overflow uint8
+    env = DeepCarsEnv(EnvConfig(lanes=3, rows=3))
+    grid = [[0, 0, 0], [0, 0, 0], [cell, 0, 0]]
+    with pytest.raises(ConfigError, match="0 or 1"):
+        env.set_state(grid=grid)
+    assert env.state.grid.sum() == 0
 
 
 def _scripted_env(text, spawn_interval=1000, lanes=None):
@@ -315,14 +326,33 @@ def test_greedy_rollouts_match_reference_loops(world):
     table, _ = tabular.train_tabular(config, tabular.TabularHyperparams(train_steps=3_000), 1)
     params = net.init_params([dqn_state_size(config), 8, 3], 4)
     agents = {"tabular": tabular.greedy_policy(table), "mlp": dqn.greedy_policy(params)}
+    # the oracles act on raw states
+    plays = {
+        name: (lambda state, act=act, encode=encode: act(encode(state)))
+        for name, (act, encode) in agents.items()
+    }
     for seed in (0, 7, 2**40 + 3):
-        for act in agents.values():
-            run = evaluate(act, config, 700, seed)
-            rows, passed, collided = naive_evaluate(act, config, 700, seed)
+        for name, policy in agents.items():
+            run = evaluate(policy, config, 700, seed)
+            rows, passed, collided = naive_evaluate(plays[name], config, 700, seed)
             assert run.steps == rows
             assert (run.passed, run.collided) == (passed, collided)
         result = dqn.validate(params, config, 5, seed)
-        assert tuple(result) == naive_validate(agents["mlp"], config, 5, seed)
+        assert tuple(result) == naive_validate(plays["mlp"], config, 5, seed)
+
+
+def test_episode_stream_starts_an_episode_only_when_stepped_past_a_terminal():
+    config = EnvConfig(occupancy_prob=0.0, max_episode_steps=3)
+    # states encoded as their step count
+    stream = Episodes(config, lambda state: state.step_count, np.random.SeedSequence(5))
+    one_seed_drawn = np.random.default_rng(np.random.SeedSequence(5))
+    one_seed_drawn.integers(0, 2**63)
+    steps = [stream.step(lambda s: Action.STAY) for _ in range(3)]
+    assert [(s, s_next) for s, _, _, s_next in steps] == [(0, 1), (1, 2), (2, 3)]
+    assert steps[-1][2].terminal and stream.state is None
+    assert stream.rng.bit_generator.state == one_seed_drawn.bit_generator.state
+    s, _, out, _ = stream.step(lambda s: Action.STAY)
+    assert s == 0 and not out.terminal and stream.state == 1
 
 
 def test_lookahead_oracle_survives():

@@ -15,6 +15,8 @@ from deepcars.tabular import (
     train_tabular,
 )
 
+from helpers import metrics_equal, naive_train_tabular
+
 HP = TabularHyperparams()
 S = TabularState(1, (3, 8, 8))
 S2 = TabularState(2, (8, 0, 8))
@@ -124,6 +126,25 @@ def test_training_is_seed_deterministic():
     for key in t1.entries:
         assert np.array_equal(t1.entries[key], t2.entries[key])
     assert m1.steps == m2.steps
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 9])
+@pytest.mark.parametrize(
+    "world",
+    [{}, {"lanes": 3}, {"max_episode_steps": 3}],
+    ids=["default", "three-lanes", "three-step-episodes"],
+)
+def test_training_matches_reference_loop(world, seed):
+    # the episode stream against a loop written out with its own env:
+    # episode seeds, bootstrap on timeouts, q-values and the step ledger
+    config = EnvConfig(**world)
+    hp = TabularHyperparams(train_steps=3_000)
+    table, metrics = train_tabular(config, hp, seed)
+    want_table, want_metrics = naive_train_tabular(config, hp, seed)
+    assert table.entries.keys() == want_table.entries.keys()
+    for state, q in want_table.entries.items():
+        assert table.entries[state].tobytes() == q.tobytes()
+    assert metrics_equal(metrics, want_metrics)
 
 
 def test_training_bounds_q_values():
