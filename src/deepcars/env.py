@@ -114,7 +114,6 @@ class DeepCarsEnv:
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        self._grid = np.zeros((config.rows, config.lanes), dtype=np.uint8)
         self._start(config.seed)
 
     def reset(self, seed: int | None = None) -> EnvState:
@@ -125,7 +124,8 @@ class DeepCarsEnv:
     def _start(self, seed: int) -> None:
         # __init__ calls this, not reset, so each reset call is one episode start
         self._rng = np.random.default_rng(seed)
-        self._grid[:] = 0
+        # row-major grid cells; no ndarray view of it is kept, so deepcopy and pickle stay whole
+        self._cells = bytearray(self.config.rows * self.config.lanes)
         self._ego = self.config.lanes // 2
         self._steps = 0
         self._passed = 0
@@ -136,8 +136,9 @@ class DeepCarsEnv:
 
     @property
     def state(self) -> EnvState:
+        grid = np.frombuffer(self._cells, np.uint8).reshape(self.config.rows, self.config.lanes)
         return EnvState(
-            grid=self._grid.copy(),
+            grid=grid.copy(),
             ego_lane=self._ego,
             step_count=self._steps,
             passed_count=self._passed,
@@ -154,19 +155,21 @@ class DeepCarsEnv:
         return self._spawned
 
     def set_state(self, grid: np.ndarray | None = None, ego_lane: int | None = None):
-        """Overwrite the live grid/ego for scripted scenarios."""
-        if grid is not None:
-            grid = np.asarray(grid)
-            if grid.shape != self._grid.shape:
-                raise ConfigError(
-                    f"grid shape {grid.shape} does not match {self._grid.shape}"
-                )
-            if not np.isin(grid, (0, 1)).all():  # before the cast to uint8 can wrap or truncate
-                raise ConfigError("grid cells must be 0 or 1")
-            self._grid[:] = grid
+        """Overwrite the live grid/ego for scripted scenarios; a refused call changes neither."""
         if ego_lane is not None:
+            if isinstance(ego_lane, bool) or not isinstance(ego_lane, (int, np.integer)):
+                raise ConfigError(f"ego_lane must be an integer, got {ego_lane!r}")
             if not 0 <= ego_lane < self.config.lanes:
                 raise ConfigError(f"ego_lane {ego_lane} outside [0, {self.config.lanes})")
+        if grid is not None:
+            grid = np.asarray(grid)
+            shape = (self.config.rows, self.config.lanes)
+            if grid.shape != shape:
+                raise ConfigError(f"grid shape {grid.shape} does not match {shape}")
+            if not np.isin(grid, (0, 1)).all():  # before the cast to uint8 can wrap or truncate
+                raise ConfigError("grid cells must be 0 or 1")
+            self._cells[:] = grid.astype(np.uint8).tobytes()
+        if ego_lane is not None:
             self._ego = int(ego_lane)
 
     def step(self, action: int) -> StepOutcome:
@@ -179,13 +182,14 @@ class DeepCarsEnv:
         # lateral move, clamped at the road edges
         self._ego = min(max(self._ego + (action - 1), 0), self.config.lanes - 1)
 
-        passed, collided = kernels.advance(self._grid, self._ego)
+        passed, collided = kernels.advance(self._cells, self.config.lanes, self._ego)
         self._steps += 1
 
         if self._steps % self.config.spawn_interval == 0:
             row, self._anchor = spawn_row(self._rng, self.config, self._anchor)
-            self._grid[0] = row
-            self._spawned += int(row.sum())
+            spawned = row.tobytes()
+            self._cells[: self.config.lanes] = spawned
+            self._spawned += spawned.count(1)
 
         self._passed += passed
         self._collided += collided

@@ -70,21 +70,23 @@ def sgd_update(theta, grad, lr):
     theta -= lr * grad
 
 
-def advance(grid, ego_lane):
+def advance(cells, lanes, ego_lane):
     """Shift traffic one row toward the ego; returns (passed, collided) car counts.
 
-    Called after the ego's lateral move. A car leaving the grid from the ego's
-    own cell is a collision (the ego slid into it), any other leaving car has
-    been passed, and a car arriving on the ego cell is a collision.
+    `cells` is the grid as a row-major bytearray of `lanes`-wide rows; one
+    slice assignment shifts it. Called after the ego's lateral move. A car
+    leaving the grid from the ego's own cell is a collision (the ego slid
+    into it), any other leaving car has been passed, and a car arriving on
+    the ego cell is a collision.
     """
-    leaving = grid[-1].tolist()
-    passed = sum(leaving)
+    last_row = len(cells) - lanes
+    passed = cells.count(1, last_row)
     collided = 0
-    if leaving[ego_lane]:
+    if cells[last_row + ego_lane]:
         passed -= 1
         collided += 1
-    grid[1:] = grid[:-1]  # numpy copies an overlapping source before assigning
-    grid[0] = 0
-    if grid[-1, ego_lane]:
+    cells[lanes:] = cells[:last_row]
+    cells[:lanes] = bytes(lanes)
+    if cells[last_row + ego_lane]:
         collided += 1
     return passed, collided

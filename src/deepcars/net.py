@@ -90,21 +90,18 @@ def init_params(layer_dims, seed: int) -> MlpParams:
     return params
 
 
-def _as_batch(x, width, what):
+def _as_input(x, width, what):
+    """`x` as a C-contiguous float64 vector or batch of rows `width` wide."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    if x.ndim != 2 or x.shape[1] != width:
+    if x.ndim > 2 or x.shape[-1] != width:
         raise ShapeError(f"{what} must have width {width}, got shape {x.shape}")
     return x
 
 
 def forward(params: MlpParams, x) -> np.ndarray:
-    """Q-values for one input vector or a batch of them."""
-    single = np.ndim(x) == 1
-    xb = _as_batch(x, params.layers[0][0].shape[0], "input")
-    out = kernels.mlp_forward(params.layers, xb)
-    return out[0] if single else out
+    """Q-values for one input vector or a batch of them (a vector gives the
+    same bits as the row of a one-row batch)."""
+    return kernels.mlp_forward(params.layers, _as_input(x, params.layer_dims[0], "input"))
 
 
 def backward(params: MlpParams, x, output_gradient) -> np.ndarray:
@@ -114,8 +111,8 @@ def backward(params: MlpParams, x, output_gradient) -> np.ndarray:
     contribute their per-sample gradients summed.
     """
     single = np.ndim(x) == 1
-    xb = _as_batch(x, params.layers[0][0].shape[0], "input")
-    gb = _as_batch(output_gradient, params.layers[-1][1].shape[0], "output gradient")
+    xb = np.atleast_2d(_as_input(x, params.layer_dims[0], "input"))
+    gb = np.atleast_2d(_as_input(output_gradient, params.layer_dims[-1], "output gradient"))
     if single != (np.ndim(output_gradient) == 1) or xb.shape[0] != gb.shape[0]:
         raise ShapeError(
             f"input batch {xb.shape[0]} does not match gradient batch {gb.shape[0]}"

@@ -1,9 +1,10 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
 
-from deepcars import dqn, net, tabular
+from deepcars import dqn, kernels, net, tabular
 from deepcars.encoders import dqn_state_size
 from deepcars.env import (
     Action,
@@ -24,6 +25,7 @@ from helpers import (
     naive_validate,
     parse_ascii,
     run_lookahead,
+    safe_actions,
     state_from_ascii,
 )
 
@@ -68,6 +70,67 @@ def test_set_state_refuses_non_binary_cells(cell):
     with pytest.raises(ConfigError, match="0 or 1"):
         env.set_state(grid=grid)
     assert env.state.grid.sum() == 0
+
+
+@pytest.mark.parametrize("lane", [1.7, True, "1", np.int64(1)], ids=repr)
+def test_set_state_ego_lane_must_be_an_integer(lane):
+    # 1.7 and True once became lane 1, and "1" escaped as a bare TypeError
+    env = DeepCarsEnv(EnvConfig(lanes=3, rows=3))
+    env.set_state(ego_lane=0)
+    cars = np.eye(3, dtype=np.uint8)
+    if isinstance(lane, np.integer):
+        env.set_state(grid=cars, ego_lane=lane)
+        assert env.state.ego_lane == 1 and type(env.state.ego_lane) is int
+        assert np.array_equal(env.state.grid, cars)
+    else:
+        with pytest.raises(ConfigError, match="ego_lane must be an integer"):
+            env.set_state(grid=cars, ego_lane=lane)
+        assert env.state.ego_lane == 0 and env.state.grid.sum() == 0  # neither half applied
+
+
+def test_advance_matches_bruteforce_on_random_grids():
+    rng = np.random.default_rng(17)
+    for rows in range(2, 10):
+        for lanes in range(2, 9):
+            for ego in range(lanes):
+                grid = (rng.random((rows, lanes)) < 0.5).astype(np.uint8)
+                exp_grid, _, exp_passed, exp_collided = naive_step(grid, ego, Action.STAY)
+                cells = bytearray(grid.tobytes())
+                passed, collided = kernels.advance(cells, lanes, ego)
+                assert bytes(cells) == exp_grid.tobytes()
+                assert (passed, collided) == (exp_passed, exp_collided)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.deepcopy, lambda env: pickle.loads(pickle.dumps(env))],
+    ids=["deepcopy", "pickle"],
+)
+def test_copied_env_continues_bit_identically(duplicate):
+    # a saved env must resume exactly: grid, ego, counters and spawn stream
+    env = DeepCarsEnv(EnvConfig(max_episode_steps=1000))
+    env.reset(31)
+    rng = np.random.default_rng(4)
+
+    def act(state):
+        return int(rng.choice(safe_actions(state.grid, state.ego_lane) or [Action.STAY]))
+
+    for _ in range(20):
+        assert not env.step(act(env.state)).terminal
+    twin = duplicate(env)
+    for k in range(50):
+        action = act(env.state)
+        a, b = env.step(action), twin.step(action)
+        for out, copied in ((a, b), (a.next_state, b.next_state)):
+            for key, value in vars(out).items():
+                if key == "grid":
+                    assert value.tobytes() == copied.grid.tobytes()
+                elif key != "next_state":
+                    assert value == getattr(copied, key), key
+        assert env.total_spawned == twin.total_spawned
+        if a.terminal:
+            env.reset(k)
+            twin.reset(k)
 
 
 def _scripted_env(text, spawn_interval=1000, lanes=None):

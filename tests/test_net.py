@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deepcars import net
+from deepcars import dqn, kernels, net
 from deepcars.net import (
     ModelFormatError,
     NumericError,
@@ -57,10 +57,26 @@ def test_forward_matches_hand_rolled_oracle():
             assert np.max(np.abs(out[i] - expect)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "dims", [[43, 16, 3], [43, 16, 16, 3], [43, 32, 64, 32, 3], [43, 64, 128, 128, 64, 3]]
+)
+def test_vector_forward_is_bit_equal_to_one_row_batch(dims):
+    # acting forwards one state as a vector; it must give the very bits of a b=1 batch
+    rng = np.random.default_rng(len(dims))
+    p = net.init_params(dims, 0)
+    p.theta[:] = rng.normal(0.0, 0.5, p.theta.size)
+    for x in (rng.random((500, dims[0])) < 0.5).astype(np.float64):
+        row = kernels.mlp_forward(p.layers, x[None, :])[0]
+        assert net.forward(p, x).tobytes() == row.tobytes()
+        assert dqn.greedy_action(p, x) == int(row.argmax())
+
+
 def test_forward_shape_mismatch():
     p = _zero_params([4, 3])
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="input must have width 4"):
         net.forward(p, np.ones(5))
+    with pytest.raises(ShapeError, match="input must have width 4"):
+        net.forward(p, np.ones((2, 5)))
 
 
 def test_backward_zero_output_gradient():

@@ -1,0 +1,83 @@
+"""Digest every artifact and stdout of a fixed, seeded set of CLI commands.
+
+Run from the root of a checkout; the commands use that checkout's `src/`:
+
+    python3 tools/cli_digests.py OUT
+
+OUT must be empty or absent. Each command runs with OUT as its working
+directory and relative paths, so its stdout names the same files in any
+checkout. One `sha256  path` line is printed per command's stdout
+(`<name>/stdout`) and per file the commands wrote, in a fixed order.
+Diffing the output of two checkouts shows whether a change moved any
+seeded result.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+
+# (name, argv); a command writes its artifacts under its own name
+COMMANDS = (
+    ("tab", ["train-tabular", "--lanes", "3", "--steps", "20000", "--seed", "1", "--out", "tab"]),
+    ("ddqn", ["train-dqn", "--arch", "ddqn16x16", "--steps", "6000", "--seed", "7",
+              "--fast-val-period", "1000", "--fast-val-episodes", "5",
+              "--deep-val-period", "3000", "--deep-val-episodes", "10", "--out", "ddqn"]),
+    ("dqn", ["train-dqn", "--hidden", "16,16", "--steps", "4000", "--seed", "5",
+             "--fast-val-period", "1000", "--fast-val-episodes", "5", "--out", "dqn"]),
+    ("medium", ["train-dqn", "--arch", "medium", "--steps", "3000", "--seed", "3",
+                "--fast-val-period", "1000", "--fast-val-episodes", "5", "--out", "medium"]),
+    ("eval-tab", ["evaluate", "--model", "tab/qtable.txt", "--lanes", "3", "--steps", "20000",
+                  "--seed", "2", "--out", "eval-tab"]),
+    ("eval-mlp", ["evaluate", "--model", "ddqn/best.model", "--steps", "20000", "--seed", "9",
+                  "--out", "eval-mlp"]),
+    ("demo-tab", ["demo", "--model", "tab/qtable.txt", "--lanes", "3", "--episodes", "2",
+                  "--seed", "3"]),
+    ("demo-mlp", ["demo", "--model", "ddqn/best.model", "--episodes", "2", "--seed", "3"]),
+    ("plot", ["plot", "ddqn/windows.csv", "dqn/windows.csv", "-o", "plot/curves.svg",
+              "--labels", "ddqn,dqn", "--title", "windows"]),
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src = os.path.join(os.getcwd(), "src")
+    if not os.path.isfile(os.path.join(src, "deepcars", "cli.py")):
+        print("error: run from the repository root; src/deepcars/cli.py not found",
+              file=sys.stderr)
+        return 2
+    out = os.path.abspath(argv[0])
+    os.makedirs(out, exist_ok=True)
+    if os.listdir(out):
+        print(f"error: {out} is not empty", file=sys.stderr)
+        return 2
+    env = dict(os.environ, PYTHONPATH=src)
+    for name, args in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "deepcars.cli", *args], cwd=out, env=env,
+                              capture_output=True)
+        if proc.returncode != 0:
+            print(f"error: {name} exited {proc.returncode}: {proc.stderr.decode().strip()}",
+                  file=sys.stderr)
+            return 1
+        print(f"{sha256(proc.stdout)}  {name}/stdout")
+        written = os.path.join(out, name)
+        for root, dirs, files in os.walk(written):
+            dirs.sort()
+            for file in sorted(files):
+                path = os.path.join(root, file)
+                with open(path, "rb") as fh:
+                    print(f"{sha256(fh.read())}  {os.path.relpath(path, out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
