@@ -232,7 +232,7 @@ def _load_model(path, config: EnvConfig):
         table = tabular.load_qtable(path)
     except ValueError as exc:
         raise CliUsageError(f"unrecognized model file: {exc}") from None
-    for state in table.entries:
+    for state in table:
         if len(state.distances) != config.lanes:
             raise CliUsageError(
                 f"q-table holds states for {len(state.distances)} lanes, "

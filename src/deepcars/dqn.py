@@ -14,7 +14,7 @@ from .encoders import dqn_state_size, encode_dqn
 from .env import EnvConfig, Episodes, roll_seed
 from .metrics import RunMetrics, accuracy
 from .net import MlpParams, NumericError
-from .replay import Batch, ReplayBuffer, Transition
+from .replay import Batch, ReplayBuffer
 
 # validation episodes draw from a stream disjoint from training seeds
 VALIDATION_SEED_XOR = 0x9E3779B97F4A7C15
@@ -55,6 +55,9 @@ class DqnHyperparams:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.learn_start > self.replay_capacity:  # the buffer never fills past capacity
+            raise ValueError(f"learn_start {self.learn_start} exceeds replay_capacity "
+                             f"{self.replay_capacity}: training would never learn")
         if self.train_steps < 0:
             raise ValueError(f"train_steps must be >= 0, got {self.train_steps}")
         if not 0.0 <= self.gamma < 1.0:
@@ -181,7 +184,7 @@ class DqnTrainer:
         t = self.step_index + 1
         s, a, out, s_next = self.episodes.step(self._act)
         # timeouts bootstrap: they end the episode but are not true terminals
-        self.buffer.push(Transition(s, a, out.reward, s_next, out.cars_collided_this_step > 0))
+        self.buffer.push(s, a, out.reward, s_next, out.cars_collided_this_step > 0)
         self.metrics.record(t, out, epsilon_at(hp, self.step_index))
 
         if len(self.buffer) >= hp.learn_start:

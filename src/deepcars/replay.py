@@ -41,13 +41,15 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._fill
 
-    def push(self, t: Transition) -> None:
+    def push(
+        self, state: np.ndarray, action: int, reward: float, next_state: np.ndarray, terminal: bool
+    ) -> None:
         i = self._cursor
-        self.states[i] = t.state
-        self.actions[i] = t.action
-        self.rewards[i] = t.reward
-        self.next_states[i] = t.next_state
-        self.terminals[i] = t.terminal
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self.terminals[i] = terminal
         self._cursor = (i + 1) % self.capacity
         self._fill = min(self._fill + 1, self.capacity)
 

@@ -12,8 +12,10 @@ from .env import EnvConfig, Episodes
 from .metrics import RunMetrics, write_lines
 from .net import NumericError
 
-_ZERO_Q = np.zeros(3)
-_ZERO_Q.setflags(write=False)
+# a q-table maps each visited state to its three action values; a state it
+# has never seen reads _ZERO_Q and is not inserted
+QTable = dict[TabularState, list[float]]
+_ZERO_Q = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -34,28 +36,6 @@ class TabularHyperparams:
             raise ValueError(f"train_steps must be >= 0, got {self.train_steps}")
 
 
-class QTable:
-    """Map from TabularState to a 3-entry action-value array; absent keys read zero."""
-
-    def __init__(self):
-        self.entries: dict[TabularState, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def values(self, state: TabularState) -> np.ndarray:
-        """Q-values for `state` without inserting it; absent states share a
-        read-only zero array."""
-        return self.entries.get(state, _ZERO_Q)
-
-    def _writable(self, state: TabularState) -> np.ndarray:
-        q = self.entries.get(state)
-        if q is None:
-            q = np.zeros(3)
-            self.entries[state] = q
-        return q
-
-
 def q_update(
     table: QTable,
     s: TabularState,
@@ -68,8 +48,8 @@ def q_update(
     """Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') * [not terminal] - Q(s,a))."""
     if not math.isfinite(r):
         raise NumericError(f"non-finite reward {r}")
-    q = table._writable(s)
-    bootstrap = 0.0 if terminal else hp.gamma * float(table.values(s_next).max())
+    q = table.setdefault(s, [0.0, 0.0, 0.0])
+    bootstrap = 0.0 if terminal else hp.gamma * max(table.get(s_next, _ZERO_Q))
     q[a] += hp.alpha * (r + bootstrap - q[a])
     if not math.isfinite(q[a]):
         raise NumericError("Q-value became non-finite")
@@ -81,7 +61,8 @@ def select_action(
     """Uniform-random with probability epsilon, else argmax with lowest-code ties."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(0, 3))
-    return int(table.values(s).argmax())
+    q = table.get(s, _ZERO_Q)
+    return q.index(max(q))
 
 
 def greedy_policy(table: QTable):
@@ -98,7 +79,7 @@ def train_tabular(
     action_rng = np.random.default_rng(seq[0])
     episodes = Episodes(config, encode_tabular, seq[1])
 
-    table = QTable()
+    table: QTable = {}
     metrics = RunMetrics()
 
     def act(s):
@@ -119,13 +100,13 @@ def train_tabular(
 def save_qtable(table: QTable, path) -> None:
     write_lines(path, (
         " ".join(str(v) for v in (state.ego_lane_id, *state.distances))
-        + " | " + " ".join(repr(float(q)) for q in table.entries[state])
-        for state in sorted(table.entries)
+        + " | " + " ".join(repr(float(q)) for q in table[state])
+        for state in sorted(table)
     ))
 
 
 def load_qtable(path) -> QTable:
-    table = QTable()
+    table: QTable = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -148,7 +129,7 @@ def load_qtable(path) -> QTable:
             if not all(map(math.isfinite, qs)):
                 raise ValueError(f"{path}:{lineno}: non-finite Q-value")
             state = TabularState(ints[0], tuple(ints[1:]))
-            if state in table.entries:
+            if state in table:
                 raise ValueError(f"{path}:{lineno}: repeated state {left.strip()!r}")
-            table.entries[state] = np.array(qs)
+            table[state] = qs
     return table

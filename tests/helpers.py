@@ -330,24 +330,33 @@ def naive_ledger(booked):
 
 
 def naive_train_tabular(config: EnvConfig, hp, seed: int):
-    """Reference for tabular.train_tabular; returns (q-table, metrics)."""
+    """Reference for tabular.train_tabular with its own epsilon-greedy choice
+    and Q-update over numpy arrays; returns ({state: q-values}, metrics)."""
     from deepcars.encoders import encode_tabular
     from deepcars.env import DeepCarsEnv
-    from deepcars.tabular import QTable, q_update, select_action
 
     seq = np.random.SeedSequence(seed).spawn(2)
     action_rng = np.random.default_rng(seq[0])
     episode_rng = np.random.default_rng(seq[1])
-    table = QTable()
+    table = {}
+    zeros = np.zeros(3)
     env = DeepCarsEnv(config)
     s = encode_tabular(env.reset(int(episode_rng.integers(0, 2**63))))
     booked = []
     for _ in range(hp.train_steps):
-        a = select_action(table, s, hp.epsilon, action_rng)
+        # epsilon 0 draws nothing; greedy ties go to the lowest action code
+        if hp.epsilon > 0.0 and action_rng.random() < hp.epsilon:
+            a = int(action_rng.integers(0, 3))
+        else:
+            a = int(np.argmax(table.get(s, zeros)))
         out = env.step(a)
         s_next = encode_tabular(out.next_state)
         collision = out.terminal and out.reward < 0
-        q_update(table, s, a, out.reward, s_next, collision, hp)
+        if s not in table:
+            table[s] = np.zeros(3)
+        q = table[s]
+        bootstrap = 0.0 if collision else hp.gamma * float(np.max(table.get(s_next, zeros)))
+        q[a] += hp.alpha * (out.reward + bootstrap - q[a])
         booked.append((out, hp.epsilon))
         if out.terminal:
             s = encode_tabular(env.reset(int(episode_rng.integers(0, 2**63))))

@@ -256,7 +256,7 @@ def test_criterion_9_replay_semantics():
     # ring eviction
     buf = ReplayBuffer(capacity=3, state_dim=1)
     for tag in range(7):
-        buf.push(Transition(np.array([float(tag)]), 0, 1.0, np.array([0.0]), False))
+        buf.push(*Transition(np.array([float(tag)]), 0, 1.0, np.array([0.0]), False))
     kept = sorted(e.state[0] for e in buf.entries())
     ring_ok = kept == [4.0, 5.0, 6.0] and len(buf) == 3
 
@@ -266,7 +266,7 @@ def test_criterion_9_replay_semantics():
     # uniform sampling within 3 sigma over 1e5 draws
     buf = ReplayBuffer(capacity=10, state_dim=1)
     for tag in range(10):
-        buf.push(Transition(np.array([float(tag)]), 0, 1.0, np.array([0.0]), False))
+        buf.push(*Transition(np.array([float(tag)]), 0, 1.0, np.array([0.0]), False))
     draws = 100_000
     batch = buf.sample(draws, np.random.default_rng(90210))
     counts = np.bincount(batch.states[:, 0].astype(int), minlength=10)

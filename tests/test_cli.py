@@ -4,7 +4,6 @@ import subprocess
 import sys
 from xml.dom import minidom
 
-import numpy as np
 import pytest
 
 import deepcars
@@ -146,6 +145,23 @@ def test_non_finite_learning_rate_is_usage_error(tmp_path, capsys, where, rate):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert "learning_rate" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_learn_start_past_replay_capacity_is_usage_error(tmp_path, capsys, where):
+    # the buffer never holds more than its capacity, so this run could never learn
+    cfg = tmp_path / "dqn.cfg"
+    cfg.write_text("learn_start=200\nreplay_capacity=100\n")
+    out = tmp_path / "run"
+    argv = ["train-dqn", "--steps", "400", "--fast-val-period", "200",
+            "--fast-val-episodes", "2", "--seed", "1", "--out", str(out)]
+    argv += (["--learn-start", "200", "--replay-capacity", "100"] if where == "flag"
+             else ["--config", str(cfg)])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "learn_start 200" in captured.err and "replay_capacity 100" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -322,9 +338,7 @@ def test_demo_qtable_model(tmp_path, capsys):
 
 
 def _qtable_for(distances):
-    table = tabular.QTable()
-    table.entries[TabularState(0, distances)] = np.array([0.5, 0.0, -0.5])
-    return table
+    return {TabularState(0, distances): [0.5, 0.0, -0.5]}
 
 
 @pytest.mark.parametrize("command", ["evaluate", "demo"])

@@ -285,3 +285,10 @@ def test_hyperparam_validation():
         DqnHyperparams(batch_size=0)
     with pytest.raises(ValueError):
         DqnHyperparams(hidden_layers=())
+
+
+def test_learn_start_past_replay_capacity_is_refused():
+    # the buffer length saturates at replay_capacity, so this run could never learn
+    with pytest.raises(ValueError, match="learn_start 200 .*replay_capacity 100"):
+        DqnHyperparams(learn_start=200, replay_capacity=100)
+    assert DqnHyperparams(learn_start=100, replay_capacity=100).learn_start == 100

@@ -13,7 +13,7 @@ def _t(tag, dim=3, terminal=False):
 def test_ring_eviction_keeps_newest():
     buf = ReplayBuffer(capacity=2, state_dim=3)
     for tag in (1, 2, 3):
-        buf.push(_t(tag))
+        buf.push(*_t(tag))
     assert len(buf) == 2
     tags = sorted(e.state[0] for e in buf.entries())
     assert tags == [2.0, 3.0]
@@ -22,7 +22,7 @@ def test_ring_eviction_keeps_newest():
 def test_fill_count_saturates_at_capacity():
     buf = ReplayBuffer(capacity=8, state_dim=2)
     for tag in range(80):
-        buf.push(_t(tag, dim=2))
+        buf.push(*_t(tag, dim=2))
     assert len(buf) == 8
 
 
@@ -30,7 +30,7 @@ def test_sample_returns_only_stored_transitions():
     buf = ReplayBuffer(capacity=16, state_dim=2)
     stored = set()
     for tag in range(10):
-        buf.push(_t(tag, dim=2))
+        buf.push(*_t(tag, dim=2))
         stored.add(float(tag))
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -45,7 +45,7 @@ def test_sample_empty_buffer_not_ready():
 
 def test_sample_with_replacement_from_single_entry():
     buf = ReplayBuffer(capacity=4, state_dim=2)
-    buf.push(_t(7, dim=2))
+    buf.push(*_t(7, dim=2))
     batch = buf.sample(4, np.random.default_rng(1))
     assert isinstance(batch, Batch)
     assert batch.states.shape == (4, 2)
@@ -56,7 +56,7 @@ def test_sample_with_replacement_from_single_entry():
 def test_sampling_frequencies_uniform_within_three_sigma():
     buf = ReplayBuffer(capacity=10, state_dim=1)
     for tag in range(10):
-        buf.push(_t(tag, dim=1))
+        buf.push(*_t(tag, dim=1))
     rng = np.random.default_rng(42)
     draws = 100_000
     counts = np.zeros(10)
@@ -71,7 +71,7 @@ def test_sampling_frequencies_uniform_within_three_sigma():
 def test_sampling_is_seed_deterministic():
     buf = ReplayBuffer(capacity=8, state_dim=1)
     for tag in range(8):
-        buf.push(_t(tag, dim=1))
+        buf.push(*_t(tag, dim=1))
     a = buf.sample(32, np.random.default_rng(9)).states
     b = buf.sample(32, np.random.default_rng(9)).states
     assert np.array_equal(a, b)
@@ -85,7 +85,7 @@ def test_sampling_is_seed_deterministic():
 def test_ring_semantics_property(capacity, tags):
     buf = ReplayBuffer(capacity=capacity, state_dim=1)
     for tag in tags:
-        buf.push(_t(tag, dim=1))
+        buf.push(*_t(tag, dim=1))
     assert len(buf) == min(len(tags), capacity)
     kept = sorted(float(t) for t in tags[-capacity:])
     got = sorted(e.state[0] for e in buf.entries())
@@ -94,8 +94,8 @@ def test_ring_semantics_property(capacity, tags):
 
 def test_terminal_flags_roundtrip():
     buf = ReplayBuffer(capacity=4, state_dim=1)
-    buf.push(_t(0, dim=1, terminal=True))
-    buf.push(_t(1, dim=1, terminal=False))
+    buf.push(*_t(0, dim=1, terminal=True))
+    buf.push(*_t(1, dim=1, terminal=False))
     entries = buf.entries()
     assert entries[0].terminal is True and entries[0].reward == -1.0
     assert entries[1].terminal is False and entries[1].reward == 1.0

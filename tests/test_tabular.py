@@ -5,7 +5,6 @@ from deepcars.encoders import TabularState
 from deepcars.env import EnvConfig, evaluate
 from deepcars.net import NumericError
 from deepcars.tabular import (
-    QTable,
     TabularHyperparams,
     greedy_policy,
     load_qtable,
@@ -23,69 +22,68 @@ S2 = TabularState(2, (8, 0, 8))
 
 
 def test_q_update_fresh_positive_reward():
-    table = QTable()
+    table = {}
     q_update(table, S, 1, 1.0, S2, terminal=False, hp=HP)
-    assert np.isclose(table.values(S)[1], 0.1)  # 0 + 0.1 * (1 + 0 - 0)
+    assert np.isclose(table[S][1], 0.1)  # 0 + 0.1 * (1 + 0 - 0)
 
 
 def test_q_update_fresh_terminal_collision():
-    table = QTable()
+    table = {}
     q_update(table, S, 0, -1.0, S2, terminal=True, hp=HP)
-    assert np.isclose(table.values(S)[0], -0.1)
+    assert np.isclose(table[S][0], -0.1)
 
 
 def test_q_update_bootstraps_next_state_max():
-    table = QTable()
-    table._writable(S)[2] = 0.5
-    table._writable(S2)[:] = [0.2, 1.0, -0.3]
+    table = {S: [0.0, 0.0, 0.5], S2: [0.2, 1.0, -0.3]}
     q_update(table, S, 2, 1.0, S2, terminal=False, hp=HP)
     # 0.5 + 0.1 * (1 + 0.9 * 1.0 - 0.5) = 0.64, recomputed by hand
-    assert np.isclose(table.values(S)[2], 0.64)
+    assert np.isclose(table[S][2], 0.64)
 
 
 def test_q_update_changes_exactly_one_cell():
-    table = QTable()
-    table._writable(S)[:] = [0.1, 0.2, 0.3]
-    table._writable(S2)[:] = [0.4, 0.5, 0.6]
-    before = {k: v.copy() for k, v in table.entries.items()}
+    table = {S: [0.1, 0.2, 0.3], S2: [0.4, 0.5, 0.6]}
+    before = {k: list(v) for k, v in table.items()}
     q_update(table, S, 1, 1.0, S2, terminal=False, hp=HP)
-    for key, vals in table.entries.items():
+    assert table.keys() == before.keys()
+    for key, vals in table.items():
         for a in range(3):
             if key == S and a == 1:
                 assert vals[a] != before[key][a]
             else:
-                assert vals[a] == before.get(key, np.zeros(3))[a]
+                assert vals[a] == before[key][a]
 
 
 def test_q_update_rejects_nonfinite_reward():
     with pytest.raises(NumericError):
-        q_update(QTable(), S, 0, float("nan"), S2, terminal=False, hp=HP)
+        q_update({}, S, 0, float("nan"), S2, terminal=False, hp=HP)
 
 
 def test_absent_state_reads_zero_without_insert():
-    table = QTable()
-    vals = table.values(S)
-    assert np.array_equal(vals, np.zeros(3))
-    assert len(table) == 0
-    with pytest.raises(ValueError):
-        vals[0] = 1.0  # the shared default is read-only
+    table = {}
+    assert select_action(table, S2, 0.0, None) == 0
+    q_update(table, S, 1, 1.0, S2, terminal=False, hp=HP)
+    assert list(table) == [S]  # the bootstrap read S2 without inserting it
+    # a second fresh state starts from zero: the update did not write the shared default
+    q_update(table, S2, 1, 1.0, S, terminal=True, hp=HP)
+    assert table[S2] == [0.0, 0.1, 0.0]
 
 
 def test_select_action_greedy_argmax():
-    table = QTable()
-    table._writable(S)[:] = [0.1, 0.9, 0.2]
+    table = {S: [0.1, 0.9, 0.2]}
     assert select_action(table, S, 0.0, np.random.default_rng(0)) == 1
 
 
 def test_select_action_tie_breaks_lowest_code():
-    table = QTable()
+    table = {}
     assert select_action(table, S, 0.0, np.random.default_rng(0)) == 0
-    table._writable(S)[:] = [0.5, 0.5, 0.1]
+    table[S] = [0.5, 0.5, 0.1]
     assert select_action(table, S, 0.0, np.random.default_rng(0)) == 0
+    table[S] = [0.1, 0.5, 0.5]
+    assert select_action(table, S, 0.0, np.random.default_rng(0)) == 1
 
 
 def test_select_action_uniform_when_epsilon_one():
-    table = QTable()
+    table = {}
     rng = np.random.default_rng(19)
     counts = np.zeros(3)
     draws = 10_000
@@ -97,14 +95,12 @@ def test_select_action_uniform_when_epsilon_one():
 
 
 def test_greedy_invariant_under_positive_scaling():
-    table = QTable()
     rng = np.random.default_rng(4)
     states = [TabularState(i % 3, (i, 8, 8)) for i in range(20)]
-    for s in states:
-        table._writable(s)[:] = rng.uniform(-1, 1, 3)
+    table = {s: rng.uniform(-1, 1, 3).tolist() for s in states}
     before = [select_action(table, s, 0.0, rng) for s in states]
     for s in states:
-        table.entries[s] *= 7.5
+        table[s] = [7.5 * q for q in table[s]]
     after = [select_action(table, s, 0.0, rng) for s in states]
     assert before == after
 
@@ -122,28 +118,28 @@ def test_training_is_seed_deterministic():
     hp = TabularHyperparams(train_steps=3_000)
     t1, m1 = train_tabular(config, hp, seed=5)
     t2, m2 = train_tabular(config, hp, seed=5)
-    assert set(t1.entries) == set(t2.entries)
-    for key in t1.entries:
-        assert np.array_equal(t1.entries[key], t2.entries[key])
+    assert t1 == t2
     assert m1.steps == m2.steps
 
 
 @pytest.mark.parametrize("seed", [0, 2**40 + 9])
 @pytest.mark.parametrize(
-    "world",
-    [{}, {"lanes": 3}, {"max_episode_steps": 3}],
-    ids=["default", "three-lanes", "three-step-episodes"],
+    "world,learner",
+    [({}, {}), ({"lanes": 3}, {}), ({"max_episode_steps": 3}, {}),
+     ({}, {"epsilon": 0.0, "alpha": 1.0})],
+    ids=["default", "three-lanes", "three-step-episodes", "greedy-alpha-one"],
 )
-def test_training_matches_reference_loop(world, seed):
-    # the episode stream against a loop written out with its own env:
-    # episode seeds, bootstrap on timeouts, q-values and the step ledger
+def test_training_matches_reference_loop(world, learner, seed):
+    # the episode stream against a loop written out with its own env, its own
+    # action choice and its own Q-update: episode seeds, action draws, ties,
+    # bootstrap on timeouts, every q-value bit and the step ledger
     config = EnvConfig(**world)
-    hp = TabularHyperparams(train_steps=3_000)
+    hp = TabularHyperparams(train_steps=3_000, **learner)
     table, metrics = train_tabular(config, hp, seed)
     want_table, want_metrics = naive_train_tabular(config, hp, seed)
-    assert table.entries.keys() == want_table.entries.keys()
-    for state, q in want_table.entries.items():
-        assert table.entries[state].tobytes() == q.tobytes()
+    assert table.keys() == want_table.keys()
+    for state, want in want_table.items():
+        assert [q.hex() for q in table[state]] == [float(q).hex() for q in want]
     assert metrics_equal(metrics, want_metrics)
 
 
@@ -151,7 +147,7 @@ def test_training_bounds_q_values():
     config = EnvConfig(lanes=3)
     table, _ = train_tabular(config, TabularHyperparams(train_steps=8_000), seed=2)
     bound = 1.0 / (1.0 - HP.gamma)
-    for vals in table.entries.values():
+    for vals in table.values():
         assert np.all(np.abs(vals) <= bound + 1e-9)
         assert np.all(np.isfinite(vals))
 
@@ -168,29 +164,28 @@ def test_trained_table_beats_empty_table():
     hp = TabularHyperparams(train_steps=20_000)
     table, _ = train_tabular(config, hp, seed=7)
     trained = evaluate(greedy_policy(table), config, steps=5_000, seed=100)
-    blank = evaluate(greedy_policy(QTable()), config, steps=5_000, seed=100)
+    blank = evaluate(greedy_policy({}), config, steps=5_000, seed=100)
     assert trained.accuracy() > blank.accuracy()
 
 
 def test_evaluate_empty_environment_vacuous():
     config = EnvConfig(lanes=3, occupancy_prob=0.0)
-    run = evaluate(greedy_policy(QTable()), config, steps=500, seed=0)
+    run = evaluate(greedy_policy({}), config, steps=500, seed=0)
     assert run.collided == 0
     assert run.accuracy() is None  # no cars resolved: vacuously perfect
 
 
 def test_qtable_roundtrip(tmp_path):
-    table = QTable()
+    table = {}
     rng = np.random.default_rng(8)
     for i in range(40):
         s = TabularState(int(rng.integers(0, 3)), tuple(rng.integers(0, 9, 3)))
-        table._writable(s)[:] = rng.uniform(-2, 2, 3)
+        table[s] = list(rng.uniform(-2, 2, 3))  # numpy scalars, as a caller may build
     path = tmp_path / "qtable.txt"
     save_qtable(table, path)
     loaded = load_qtable(path)
-    assert set(loaded.entries) == set(table.entries)
-    for key in table.entries:
-        assert np.array_equal(loaded.entries[key], table.entries[key])
+    assert loaded == table
+    assert all(type(q) is float for qs in loaded.values() for q in qs)
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,9 @@ import sys
 # (name, argv); a command writes its artifacts under its own name
 COMMANDS = (
     ("tab", ["train-tabular", "--lanes", "3", "--steps", "20000", "--seed", "1", "--out", "tab"]),
+    # 5-lane keys, the greedy branch that draws nothing, and alpha = 1
+    ("tab5", ["train-tabular", "--lanes", "5", "--epsilon", "0", "--alpha", "1", "--steps", "5000",
+              "--seed", "4", "--out", "tab5"]),
     ("ddqn", ["train-dqn", "--arch", "ddqn16x16", "--steps", "6000", "--seed", "7",
               "--fast-val-period", "1000", "--fast-val-episodes", "5",
               "--deep-val-period", "3000", "--deep-val-episodes", "10", "--out", "ddqn"]),
