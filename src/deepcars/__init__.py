@@ -40,7 +40,7 @@ from .net import (
     make_optimizer,
     save_model,
 )
-from .replay import Batch, ReplayBuffer, Transition
+from .replay import Batch, ReplayBuffer
 from .tabular import (
     QTable,
     TabularHyperparams,

@@ -269,19 +269,18 @@ def cmd_demo(args) -> int:
     if args.episodes < 1:
         raise CliUsageError(f"--episodes must be >= 1, got {args.episodes}")
     act, encode = _load_model(args.model, config)
-    # the stream hands over raw states, which the transcript prints
-    stream = Episodes(config, lambda state: state, config.seed)
+    # the stream hands over state snapshots, which the transcript prints
+    stream = Episodes(config, lambda env: env.state, config.seed)
     episode = 0
     total = 0.0
     while episode < args.episodes:
-        state, a, out, _ = stream.step(lambda state: act(encode(state)))
+        state, a, out, state_next = stream.step(lambda state: act(encode(state)))
         if state.step_count == 0:
             print(f"episode {episode}")
             print(render_ascii(state))
         total += out.reward
-        print(f"step {out.next_state.step_count}: "
-              f"action={Action(a).name} reward={out.reward:+.0f}")
-        print(render_ascii(out.next_state))
+        print(f"step {state_next.step_count}: action={Action(a).name} reward={out.reward:+.0f}")
+        print(render_ascii(state_next))
         if out.terminal:
             print(f"episode {episode} reward: {total:.0f}")
             episode += 1

@@ -245,4 +245,7 @@ def train_dqn(
     config: EnvConfig, hp: DqnHyperparams, seed: int
 ) -> tuple[Checkpoint, MlpParams, RunMetrics]:
     """Full training loop; returns (best checkpoint, final params, metrics)."""
+    if hp.train_steps < hp.learn_start:  # the first gradient step comes at step learn_start
+        raise ValueError(f"train_steps {hp.train_steps} is below learn_start {hp.learn_start}: "
+                         "training would never learn")
     return DqnTrainer(config, hp, seed).run()

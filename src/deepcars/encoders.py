@@ -1,4 +1,5 @@
-"""State encoders: the tabular distance vector and the flat binary DQN vector."""
+"""State encoders: the tabular distance vector and the flat binary DQN vector,
+read from the `grid` and `ego_lane` of a live `DeepCarsEnv` or an `EnvState`."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import EnvConfig, EnvState
+from .env import DeepCarsEnv, EnvConfig, EnvState
 
 
 class TabularState(NamedTuple):
@@ -22,7 +23,7 @@ class TabularState(NamedTuple):
     distances: tuple[int, ...]
 
 
-def encode_tabular(state: EnvState) -> TabularState:
+def encode_tabular(state: DeepCarsEnv | EnvState) -> TabularState:
     grid = state.grid
     rows = grid.shape[0]
     # one list per lane, index 0 = ego row; the grid is binary
@@ -51,7 +52,7 @@ def dqn_state_size(config: EnvConfig) -> int:
     return config.rows * config.lanes + lane_bit_width(config.lanes)
 
 
-def encode_dqn(state: EnvState) -> np.ndarray:
+def encode_dqn(state: DeepCarsEnv | EnvState) -> np.ndarray:
     """Row-major flattened grid followed by the big-endian binary ego lane id."""
     grid = state.grid
     bits = _lane_bit_table(grid.shape[1])

@@ -76,7 +76,6 @@ class EnvState:
 
 @dataclass(eq=False)
 class StepOutcome:
-    next_state: EnvState
     reward: float  # +1.0, or -1.0 exactly on collision
     terminal: bool
     cars_passed_this_step: int
@@ -135,10 +134,19 @@ class DeepCarsEnv:
         self._anchor = self._ego
 
     @property
+    def grid(self) -> np.ndarray:
+        """Read-only uint8 (rows, lanes) copy of the traffic; later steps leave it as it is."""
+        return np.frombuffer(bytes(self._cells), np.uint8).reshape(self.config.rows, -1)
+
+    @property
+    def ego_lane(self) -> int:
+        return self._ego
+
+    @property
     def state(self) -> EnvState:
-        grid = np.frombuffer(self._cells, np.uint8).reshape(self.config.rows, self.config.lanes)
+        """A fresh, writable snapshot of the world."""
         return EnvState(
-            grid=grid.copy(),
+            grid=self.grid.copy(),
             ego_lane=self._ego,
             step_count=self._steps,
             passed_count=self._passed,
@@ -196,7 +204,6 @@ class DeepCarsEnv:
         collision = collided > 0
         self._terminal = collision or self._steps >= self.config.max_episode_steps
         return StepOutcome(
-            next_state=self.state,
             reward=-1.0 if collision else 1.0,
             terminal=self._terminal,
             cars_passed_this_step=passed,
@@ -212,10 +219,11 @@ def roll_seed(rng: np.random.Generator) -> int:
 class Episodes:
     """One seeded stream of episodes; each `step` is one environment step.
 
-    Episode seeds are drawn in turn from `default_rng(seed)`, and states reach
-    the agent through `encode`, once each. An episode starts only when the
-    step after a terminal one is taken. The env, the episode generator and
-    the pending encoded state are attributes, so a stream can be saved whole.
+    Episode seeds are drawn in turn from `default_rng(seed)`. After each reset
+    and each step, `encode(env)` reads the world from the env; each encoded
+    state reaches the agent once. An episode starts only when the step after
+    a terminal one is taken. The env, the episode generator and the pending
+    encoded state are attributes, so a stream can be saved whole.
     """
 
     def __init__(self, config: EnvConfig, encode, seed):
@@ -228,10 +236,11 @@ class Episodes:
         """One step chosen by `act(encoded state)`: (s, action, outcome, s_next)."""
         s = self.state
         if s is None:
-            s = self.encode(self.env.reset(roll_seed(self.rng)))
+            self.env.reset(roll_seed(self.rng))
+            s = self.encode(self.env)
         action = act(s)
         out = self.env.step(action)
-        s_next = self.encode(out.next_state)
+        s_next = self.encode(self.env)
         self.state = None if out.terminal else s_next
         return s, action, out, s_next
 

@@ -7,14 +7,6 @@ from typing import NamedTuple
 import numpy as np
 
 
-class Transition(NamedTuple):
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
-
-
 class Batch(NamedTuple):
     states: np.ndarray  # (B, dim)
     actions: np.ndarray  # (B,) int64
@@ -65,16 +57,3 @@ class ReplayBuffer:
             next_states=self.next_states.take(idx, axis=0),
             terminals=self.terminals.take(idx),
         )
-
-    def entries(self) -> list[Transition]:
-        """Stored transitions in storage order (for inspection and tests)."""
-        return [
-            Transition(
-                self.states[i].copy(),
-                int(self.actions[i]),
-                float(self.rewards[i]),
-                self.next_states[i].copy(),
-                bool(self.terminals[i]),
-            )
-            for i in range(self._fill)
-        ]

@@ -238,7 +238,7 @@ def run_lookahead(config: EnvConfig, seed: int, steps: int):
         out = env.step(action)
         if out.reward < 0:
             collisions += 1
-        state = out.next_state
+        state = env.state
         if state.step_count % config.spawn_interval == 0:
             agent.observe_spawn(state.grid[0], state.step_count)
         if out.terminal:
@@ -269,11 +269,11 @@ def naive_evaluate(act, config: EnvConfig, steps: int, seed: int):
         passed += out.cars_passed_this_step
         if out.terminal:
             if out.reward < 0:
-                collided += out.next_state.collided_count
+                collided += env.state.collided_count
             episode += 1
             state = env.reset(int(rng.integers(0, 2**63)))
         else:
-            state = out.next_state
+            state = env.state
     return rows, passed, collided
 
 
@@ -293,9 +293,9 @@ def naive_validate(act, config: EnvConfig, episodes: int, seed: int):
             total_reward += out.reward
             passed += out.cars_passed_this_step
             if out.terminal:
-                collided += out.next_state.collided_count
+                collided += env.state.collided_count
                 break
-            state = out.next_state
+            state = env.state
     resolved = passed + collided
     acc = 100.0 * passed / resolved if resolved else None
     return total_reward / episodes, acc, passed, collided
@@ -307,19 +307,20 @@ def naive_validate(act, config: EnvConfig, episodes: int, seed: int):
 
 
 def naive_ledger(booked):
-    """Reference for RunMetrics.record over one run's (outcome, epsilon) per step."""
+    """Reference for RunMetrics.record over one run's (outcome, epsilon, state
+    after the step) per step."""
     from deepcars.metrics import RunMetrics
 
     metrics = RunMetrics()
     episode_reward = 0.0
     window = []
-    for t, (out, eps) in enumerate(booked, start=1):
+    for t, (out, eps, state) in enumerate(booked, start=1):
         metrics.steps.append((t, metrics.episode, out.reward, eps))
         metrics.passed += out.cars_passed_this_step
         episode_reward += out.reward
         if out.terminal:
             if out.reward < 0:
-                metrics.collided += out.next_state.collided_count
+                metrics.collided += state.collided_count
             window.append(episode_reward)
             episode_reward = 0.0
             if len(window) == 100:
@@ -350,14 +351,15 @@ def naive_train_tabular(config: EnvConfig, hp, seed: int):
         else:
             a = int(np.argmax(table.get(s, zeros)))
         out = env.step(a)
-        s_next = encode_tabular(out.next_state)
+        state = env.state
+        s_next = encode_tabular(state)
         collision = out.terminal and out.reward < 0
         if s not in table:
             table[s] = np.zeros(3)
         q = table[s]
         bootstrap = 0.0 if collision else hp.gamma * float(np.max(table.get(s_next, zeros)))
         q[a] += hp.alpha * (out.reward + bootstrap - q[a])
-        booked.append((out, hp.epsilon))
+        booked.append((out, hp.epsilon, state))
         if out.terminal:
             s = encode_tabular(env.reset(int(episode_rng.integers(0, 2**63))))
         else:
@@ -388,9 +390,10 @@ def naive_dqn_rollout(config: EnvConfig, hp, seed: int, steps: int):
         else:
             a = int(net.forward(params, vec).argmax())
         out = env.step(a)
-        next_vec = encode_dqn(out.next_state)
+        state = env.state
+        next_vec = encode_dqn(state)
         stored.append((vec, a, out.reward, next_vec, out.terminal and out.reward < 0))
-        booked.append((out, eps))
+        booked.append((out, eps, state))
         if out.terminal:
             vec = encode_dqn(env.reset(int(episode_rng.integers(0, 2**63))))
         else:

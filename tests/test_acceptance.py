@@ -14,7 +14,7 @@ from deepcars.dqn import DqnHyperparams, greedy_policy, td_targets, train_dqn
 from deepcars.encoders import TabularState, encode_dqn, encode_tabular
 from deepcars.env import EnvConfig, evaluate
 from deepcars.metrics import write_csv
-from deepcars.replay import Batch, ReplayBuffer, Transition
+from deepcars.replay import Batch, ReplayBuffer
 from deepcars.tabular import TabularHyperparams, train_tabular
 
 from helpers import (
@@ -256,8 +256,8 @@ def test_criterion_9_replay_semantics():
     # ring eviction
     buf = ReplayBuffer(capacity=3, state_dim=1)
     for tag in range(7):
-        buf.push(*Transition(np.array([float(tag)]), 0, 1.0, np.array([0.0]), False))
-    kept = sorted(e.state[0] for e in buf.entries())
+        buf.push(np.array([float(tag)]), 0, 1.0, np.array([0.0]), False)
+    kept = sorted(buf.states[: len(buf), 0].tolist())
     ring_ok = kept == [4.0, 5.0, 6.0] and len(buf) == 3
 
     # underfill signalling
@@ -266,7 +266,7 @@ def test_criterion_9_replay_semantics():
     # uniform sampling within 3 sigma over 1e5 draws
     buf = ReplayBuffer(capacity=10, state_dim=1)
     for tag in range(10):
-        buf.push(*Transition(np.array([float(tag)]), 0, 1.0, np.array([0.0]), False))
+        buf.push(np.array([float(tag)]), 0, 1.0, np.array([0.0]), False)
     draws = 100_000
     batch = buf.sample(draws, np.random.default_rng(90210))
     counts = np.bincount(batch.states[:, 0].astype(int), minlength=10)

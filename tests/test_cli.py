@@ -165,6 +165,23 @@ def test_learn_start_past_replay_capacity_is_usage_error(tmp_path, capsys, where
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_run_that_could_never_learn_is_usage_error(tmp_path, capsys, where):
+    # 400 steps never reach learn_start 1000: both saved models would be untrained
+    cfg = tmp_path / "dqn.cfg"
+    cfg.write_text("train_steps=400\nlearn_start=1000\n")
+    out = tmp_path / "run"
+    argv = ["train-dqn", "--fast-val-period", "200", "--fast-val-episodes", "2", "--seed", "1",
+            "--out", str(out)]
+    argv += (["--steps", "400", "--learn-start", "1000"] if where == "flag"
+             else ["--config", str(cfg)])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "train_steps 400" in captured.err and "learn_start 1000" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _python_m_cli(args, **env):
     """`python -m deepcars.cli <args>` in a fresh interpreter, with the
     package's source directory on PYTHONPATH and `env` added."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -212,11 +214,11 @@ def test_timeout_transitions_stored_bootstrappable():
     trainer = DqnTrainer(config, hp, seed=1)
     for _ in range(9):
         trainer.train_step()
-    entries = trainer.buffer.entries()
-    assert len(entries) == 9
+    buf = trainer.buffer
+    assert len(buf) == 9
     # every third step ends an episode by timeout yet must bootstrap
-    assert not any(e.terminal for e in entries)
-    assert all(e.reward == 1.0 for e in entries)
+    assert not buf.terminals[:9].any()
+    assert (buf.rewards[:9] == 1.0).all()
 
 
 def test_collision_transitions_stored_terminal():
@@ -233,10 +235,10 @@ def test_collision_transitions_stored_terminal():
     trainer = DqnTrainer(EnvConfig(), hp, seed=3)
     for _ in range(400):
         trainer.train_step()
-    entries = trainer.buffer.entries()
-    terminal = [e for e in entries if e.terminal]
-    assert terminal
-    assert all(e.reward == -1.0 for e in terminal)
+    buf = trainer.buffer
+    terminal = buf.terminals[: len(buf)]
+    assert terminal.any()
+    assert (buf.rewards[: len(buf)][terminal] == -1.0).all()
 
 
 @pytest.mark.parametrize("seed", [0, 2**40 + 9])
@@ -262,12 +264,12 @@ def test_rollout_matches_reference_loop(world, seed):
     for _ in range(600):
         trainer.train_step()
     stored, want_metrics = naive_dqn_rollout(config, hp, seed, 600)
-    entries = trainer.buffer.entries()
-    assert len(entries) == len(stored)
-    for got, (state, action, reward, next_state, terminal) in zip(entries, stored):
-        assert np.array_equal(got.state, state)
-        assert np.array_equal(got.next_state, next_state)
-        assert (got.action, got.reward, got.terminal) == (action, reward, terminal)
+    buf = trainer.buffer
+    assert len(buf) == len(stored)  # the ring never wrapped, so row i is push i
+    for i, (state, action, reward, next_state, terminal) in enumerate(stored):
+        assert np.array_equal(buf.states[i], state)
+        assert np.array_equal(buf.next_states[i], next_state)
+        assert (buf.actions[i], buf.rewards[i], buf.terminals[i]) == (action, reward, terminal)
     assert metrics_equal(trainer.metrics, want_metrics)
 
 
@@ -292,3 +294,15 @@ def test_learn_start_past_replay_capacity_is_refused():
     with pytest.raises(ValueError, match="learn_start 200 .*replay_capacity 100"):
         DqnHyperparams(learn_start=200, replay_capacity=100)
     assert DqnHyperparams(learn_start=100, replay_capacity=100).learn_start == 100
+
+
+def test_train_dqn_that_could_never_learn_is_refused():
+    # the first gradient step comes at step learn_start (200 here), so a
+    # 199-step run would save an untrained net as both of its models
+    with pytest.raises(ValueError, match="train_steps 199 .*learn_start 200"):
+        train_dqn(SMALL_CFG, replace(SMALL_HP, train_steps=199), seed=1)
+    best, _, _ = train_dqn(SMALL_CFG, replace(SMALL_HP, train_steps=200), seed=1)
+    assert best.training_step == 200
+    trainer = DqnTrainer(SMALL_CFG, replace(SMALL_HP, train_steps=200), seed=1)
+    trainer.run()
+    assert trainer.opt.step_count == 1

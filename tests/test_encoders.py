@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from deepcars.encoders import (
     TabularState,
@@ -7,7 +8,7 @@ from deepcars.encoders import (
     encode_tabular,
     lane_bit_width,
 )
-from deepcars.env import EnvConfig, EnvState
+from deepcars.env import DeepCarsEnv, EnvConfig, EnvState
 
 from helpers import decode_dqn, naive_tabular_distances, state_from_ascii
 
@@ -131,3 +132,24 @@ def test_encoding_length_constant():
         grid = (rng.random((8, 5)) < 0.5).astype(np.uint8)
         sizes.add(encode_dqn(_state(grid, int(rng.integers(0, 5)))).size)
     assert sizes == {43}
+
+
+@pytest.mark.parametrize(
+    "world",
+    [{}, {"lanes": 3}, {"max_episode_steps": 3}],
+    ids=["default", "three-lanes", "three-step-episodes"],
+)
+def test_encoders_read_the_live_env_as_its_snapshot(world):
+    # right after each reset and after every step of seeded random play
+    env = DeepCarsEnv(EnvConfig(**world))
+    rng = np.random.default_rng(8)
+    for episode in range(30):
+        env.reset(episode)
+        while True:
+            snapshot = env.state
+            live, want = encode_dqn(env), encode_dqn(snapshot)
+            assert live.dtype == want.dtype and live.tobytes() == want.tobytes()
+            assert encode_tabular(env) == encode_tabular(snapshot)
+            if env.terminal:
+                break
+            env.step(int(rng.integers(0, 3)))

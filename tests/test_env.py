@@ -88,6 +88,35 @@ def test_set_state_ego_lane_must_be_an_integer(lane):
         assert env.state.ego_lane == 0 and env.state.grid.sum() == 0  # neither half applied
 
 
+def test_grid_is_a_read_only_snapshot():
+    env = DeepCarsEnv(EnvConfig(max_episode_steps=1000))
+    env.reset(5)
+    for _ in range(6):  # two spawns; none reaches the ego row yet
+        env.step(Action.STAY)
+    before = env.state
+    grid = env.grid
+    assert grid.dtype == np.uint8 and grid.shape == (8, 5) and grid.sum() > 0
+    assert np.array_equal(grid, before.grid)
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1 - grid[0, 0]
+    with pytest.raises(ValueError):
+        grid.setflags(write=True)
+    after = env.state
+    assert np.array_equal(after.grid, before.grid) and after.ego_lane == before.ego_lane
+    env.step(Action.STAY)  # no spawn: the traffic moves down one row
+    assert not np.array_equal(env.state.grid, before.grid)
+    assert np.array_equal(grid, before.grid)  # the grid taken before the step is unchanged
+
+
+def test_ego_lane_cannot_be_assigned():
+    env = DeepCarsEnv(EnvConfig())
+    with pytest.raises(AttributeError):
+        env.ego_lane = 0
+    assert env.ego_lane == env.state.ego_lane == 2
+    env.set_state(ego_lane=0)
+    assert env.ego_lane == env.state.ego_lane == 0 and type(env.ego_lane) is int
+
+
 def test_advance_matches_bruteforce_on_random_grids():
     rng = np.random.default_rng(17)
     for rows in range(2, 10):
@@ -121,11 +150,11 @@ def test_copied_env_continues_bit_identically(duplicate):
     for k in range(50):
         action = act(env.state)
         a, b = env.step(action), twin.step(action)
-        for out, copied in ((a, b), (a.next_state, b.next_state)):
+        for out, copied in ((a, b), (env.state, twin.state)):
             for key, value in vars(out).items():
                 if key == "grid":
                     assert value.tobytes() == copied.grid.tobytes()
-                elif key != "next_state":
+                else:
                     assert value == getattr(copied, key), key
         assert env.total_spawned == twin.total_spawned
         if a.terminal:
@@ -159,7 +188,7 @@ def test_step_car_entering_ego_cell_collides():
     out = env.step(Action.STAY)
     assert out.reward == -1.0
     assert out.terminal
-    assert out.next_state.collided_count == 1
+    assert env.state.collided_count == 1
 
 
 def test_step_dodge_right_matches_bruteforce():
@@ -169,8 +198,8 @@ def test_step_dodge_right_matches_bruteforce():
     exp_grid, exp_ego, exp_passed, exp_collided = naive_step(grid, ego, Action.RIGHT)
     out = env.step(Action.RIGHT)
     assert out.reward == 1.0 and not out.terminal
-    assert out.next_state.ego_lane == exp_ego
-    assert np.array_equal(out.next_state.grid, exp_grid)
+    assert env.state.ego_lane == exp_ego
+    assert np.array_equal(env.state.grid, exp_grid)
     assert out.cars_passed_this_step == exp_passed == 0
     assert exp_collided == 0
 
@@ -180,7 +209,7 @@ def test_step_sliding_into_leaving_car_collides():
     env = _scripted_env(".....\n.....\n.....\n.....\n.....\n.....\n.....\n.#E..")
     out = env.step(Action.LEFT)
     assert out.reward == -1.0 and out.terminal
-    assert out.next_state.collided_count == 1
+    assert env.state.collided_count == 1
     assert out.cars_passed_this_step == 0
 
 
@@ -189,7 +218,7 @@ def test_step_passing_car_counts():
     out = env.step(Action.STAY)
     assert out.reward == 1.0
     assert out.cars_passed_this_step == 1
-    assert out.next_state.passed_count == 1
+    assert env.state.passed_count == 1
 
 
 def test_random_one_step_against_bruteforce():
@@ -205,12 +234,12 @@ def test_random_one_step_against_bruteforce():
         env.set_state(grid=grid.copy(), ego_lane=ego)
         exp_grid, exp_ego, exp_passed, exp_collided = naive_step(grid, ego, action)
         out = env.step(action)
-        assert np.array_equal(out.next_state.grid, exp_grid)
-        assert out.next_state.ego_lane == exp_ego
+        assert np.array_equal(env.state.grid, exp_grid)
+        assert env.state.ego_lane == exp_ego
         assert out.cars_passed_this_step == exp_passed
         assert out.terminal == (exp_collided > 0)
         assert (out.reward == -1.0) == (exp_collided > 0)
-        assert out.next_state.collided_count == exp_collided
+        assert env.state.collided_count == exp_collided
 
 
 def test_clamping_left_at_lane_zero_equals_stay():
@@ -222,8 +251,8 @@ def test_clamping_left_at_lane_zero_equals_stay():
     for _ in range(30):
         a = base.step(Action.LEFT)
         b = twin.step(Action.STAY)
-        assert np.array_equal(a.next_state.grid, b.next_state.grid)
-        assert a.next_state.ego_lane == b.next_state.ego_lane == 0
+        assert np.array_equal(base.state.grid, twin.state.grid)
+        assert base.state.ego_lane == twin.state.ego_lane == 0
         assert a.reward == b.reward and a.terminal == b.terminal
         if a.terminal:
             break
@@ -243,7 +272,7 @@ def test_determinism_same_seed_same_outcomes():
             out = env.step(int(a))
             trace.append(
                 (out.reward, out.terminal, out.cars_passed_this_step,
-                 out.next_state.ego_lane, out.next_state.grid.tobytes())
+                 env.state.ego_lane, env.state.grid.tobytes())
             )
             if out.terminal:
                 env.reset(99 + len(trace))
@@ -261,7 +290,7 @@ def test_conservation_every_car_resolves_once():
         state = env.reset(1000 + episode)
         while True:
             out = env.step(int(rng.integers(0, 3)))
-            state = out.next_state
+            state = env.state
             on_grid = int(state.grid.sum())
             overlap = int(state.grid[-1, state.ego_lane])
             assert env.total_spawned == (
@@ -281,7 +310,7 @@ def test_timeout_is_terminal_but_not_collision():
     out = env.step(Action.STAY)
     assert out.terminal
     assert out.reward == 1.0
-    assert out.next_state.collided_count == 0
+    assert env.state.collided_count == 0
 
 
 def test_step_after_terminal_raises():
@@ -302,7 +331,7 @@ def test_reward_dichotomy_over_random_play():
         while out is None or not out.terminal:
             prev_collided = env.state.collided_count
             out = env.step(int(rng.integers(0, 3)))
-            collided_now = out.next_state.collided_count > prev_collided
+            collided_now = env.state.collided_count > prev_collided
             assert out.reward in (1.0, -1.0)
             assert (out.reward == -1.0) == collided_now
 
@@ -407,7 +436,7 @@ def test_greedy_rollouts_match_reference_loops(world):
 def test_episode_stream_starts_an_episode_only_when_stepped_past_a_terminal():
     config = EnvConfig(occupancy_prob=0.0, max_episode_steps=3)
     # states encoded as their step count
-    stream = Episodes(config, lambda state: state.step_count, np.random.SeedSequence(5))
+    stream = Episodes(config, lambda env: env.state.step_count, np.random.SeedSequence(5))
     one_seed_drawn = np.random.default_rng(np.random.SeedSequence(5))
     one_seed_drawn.integers(0, 2**63)
     steps = [stream.step(lambda s: Action.STAY) for _ in range(3)]

@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deepcars.replay import Batch, ReplayBuffer, Transition
+from deepcars.replay import Batch, ReplayBuffer
 
 
 def _t(tag, dim=3, terminal=False):
+    """Positional push fields: (state, action, reward, next state, terminal)."""
     vec = np.full(dim, float(tag))
-    return Transition(vec, tag % 3, 1.0 if not terminal else -1.0, vec + 0.5, terminal)
+    return vec, tag % 3, 1.0 if not terminal else -1.0, vec + 0.5, terminal
+
+
+def _stored(buf, ring):
+    """The filled rows of one ring array, in storage order."""
+    return ring[: len(buf)].tolist()
 
 
 def test_ring_eviction_keeps_newest():
@@ -15,7 +21,7 @@ def test_ring_eviction_keeps_newest():
     for tag in (1, 2, 3):
         buf.push(*_t(tag))
     assert len(buf) == 2
-    tags = sorted(e.state[0] for e in buf.entries())
+    tags = sorted(row[0] for row in _stored(buf, buf.states))
     assert tags == [2.0, 3.0]
 
 
@@ -88,7 +94,7 @@ def test_ring_semantics_property(capacity, tags):
         buf.push(*_t(tag, dim=1))
     assert len(buf) == min(len(tags), capacity)
     kept = sorted(float(t) for t in tags[-capacity:])
-    got = sorted(e.state[0] for e in buf.entries())
+    got = sorted(row[0] for row in _stored(buf, buf.states))
     assert got == kept
 
 
@@ -96,9 +102,8 @@ def test_terminal_flags_roundtrip():
     buf = ReplayBuffer(capacity=4, state_dim=1)
     buf.push(*_t(0, dim=1, terminal=True))
     buf.push(*_t(1, dim=1, terminal=False))
-    entries = buf.entries()
-    assert entries[0].terminal is True and entries[0].reward == -1.0
-    assert entries[1].terminal is False and entries[1].reward == 1.0
+    assert _stored(buf, buf.terminals) == [True, False]
+    assert _stored(buf, buf.rewards) == [-1.0, 1.0]
 
 
 def test_capacity_must_be_positive():

@@ -36,6 +36,10 @@ COMMANDS = (
                   "--seed", "2", "--out", "eval-tab"]),
     ("eval-mlp", ["evaluate", "--model", "ddqn/best.model", "--steps", "20000", "--seed", "9",
                   "--out", "eval-mlp"]),
+    # 3000 steps of episodes capped at 12: a reset, then an encode of the fresh world, every
+    # 12 steps or sooner, while cars still reach the ego
+    ("eval-short", ["evaluate", "--model", "ddqn/best.model", "--max-episode-steps", "12",
+                    "--steps", "3000", "--seed", "5", "--out", "eval-short"]),
     ("demo-tab", ["demo", "--model", "tab/qtable.txt", "--lanes", "3", "--episodes", "2",
                   "--seed", "3"]),
     ("demo-mlp", ["demo", "--model", "ddqn/best.model", "--episodes", "2", "--seed", "3"]),
