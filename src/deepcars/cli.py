@@ -232,15 +232,15 @@ def _load_model(path, config: EnvConfig):
         table = tabular.load_qtable(path)
     except ValueError as exc:
         raise CliUsageError(f"unrecognized model file: {exc}") from None
-    for state in table:
-        if len(state.distances) != config.lanes:
+    for ego, *distances in table:
+        if len(distances) != config.lanes or ego >= config.lanes:
             raise CliUsageError(
-                f"q-table holds states for {len(state.distances)} lanes, "
-                f"environment has {config.lanes}; adjust --lanes"
+                f"q-table holds states for {len(distances)} lanes with ego lane {ego}, "
+                f"environment has {config.lanes} lanes; adjust --lanes"
             )
-        if max(state.distances) > config.rows:
+        if max(distances) > config.rows:
             raise CliUsageError(
-                f"q-table holds distance {max(state.distances)}, "
+                f"q-table holds distance {max(distances)}, "
                 f"environment has {config.rows} rows; adjust --rows"
             )
     return tabular.greedy_policy(table)
@@ -271,20 +271,17 @@ def cmd_demo(args) -> int:
     act, encode = _load_model(args.model, config)
     # the stream hands over state snapshots, which the transcript prints
     stream = Episodes(config, lambda env: env.state, config.seed)
-    episode = 0
-    total = 0.0
-    while episode < args.episodes:
+    run = metrics_mod.RunMetrics()
+    while run.episode < args.episodes:
         state, a, out, state_next = stream.step(lambda state: act(encode(state)))
         if state.step_count == 0:
-            print(f"episode {episode}")
+            print(f"episode {run.episode}")
             print(render_ascii(state))
-        total += out.reward
         print(f"step {state_next.step_count}: action={Action(a).name} reward={out.reward:+.0f}")
         print(render_ascii(state_next))
+        run.tally(out)
         if out.terminal:
-            print(f"episode {episode} reward: {total:.0f}")
-            episode += 1
-            total = 0.0
+            print(f"episode {run.episode - 1} reward: {run.episode_rewards[-1]:.0f}")
     return 0
 
 

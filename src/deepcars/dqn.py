@@ -12,7 +12,7 @@ import numpy as np
 from . import net
 from .encoders import dqn_state_size, encode_dqn
 from .env import EnvConfig, Episodes, roll_seed
-from .metrics import RunMetrics, accuracy
+from .metrics import RunMetrics
 from .net import MlpParams, NumericError
 from .replay import Batch, ReplayBuffer
 
@@ -134,21 +134,14 @@ def validate(
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     act, encode = greedy_policy(params)
     stream = Episodes(config, encode, seed)
-    total_reward = 0.0
-    passed = 0
-    collided = 0
-    finished = 0
-    while finished < episodes:
-        out = stream.step(act)[2]
-        total_reward += out.reward
-        passed += out.cars_passed_this_step
-        collided += out.cars_collided_this_step
-        finished += out.terminal
+    run = RunMetrics()
+    while run.episode < episodes:
+        run.tally(stream.step(act)[2])
     return ValidationResult(
-        mean_reward=total_reward / episodes,
-        accuracy_pct=accuracy(passed, collided),
-        passed=passed,
-        collided=collided,
+        mean_reward=sum(run.episode_rewards) / episodes,
+        accuracy_pct=run.accuracy(),
+        passed=run.passed,
+        collided=run.collided,
     )
 
 

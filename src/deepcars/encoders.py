@@ -4,32 +4,24 @@ read from the `grid` and `ego_lane` of a live `DeepCarsEnv` or an `EnvState`."""
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .env import DeepCarsEnv, EnvConfig, EnvState
 
-
-class TabularState(NamedTuple):
-    """Discrete state: ego lane plus per-lane distance to the nearest car.
-
-    distances[i] counts rows between the ego row and the closest car in lane i
-    at or ahead of the ego row (0 = a car beside the ego on the ego row); a
-    lane with no visible car carries the sentinel value `rows`.
-    """
-
-    ego_lane_id: int
-    distances: tuple[int, ...]
+# the tabular state, (ego_lane, d_0, ..., d_{lanes-1}): the row a q-table file stores
+TabularState = tuple[int, ...]
 
 
 def encode_tabular(state: DeepCarsEnv | EnvState) -> TabularState:
+    """Ego lane, then per lane the rows between the ego row and the closest car
+    at or ahead of it (0 = a car beside the ego); a lane with no visible car
+    reads `rows`."""
     grid = state.grid
     rows = grid.shape[0]
     # one list per lane, index 0 = ego row; the grid is binary
     lanes = grid[::-1].T.tolist()
-    dists = tuple(lane.index(1) if 1 in lane else rows for lane in lanes)
-    return TabularState(int(state.ego_lane), dists)
+    return (int(state.ego_lane), *[lane.index(1) if 1 in lane else rows for lane in lanes])
 
 
 def lane_bit_width(lanes: int) -> int:

@@ -28,22 +28,27 @@ class RunMetrics:
     passed: int = 0
     collided: int = 0
     episode: int = 0  # episodes finished so far
+    episode_rewards: list = field(default_factory=list)  # one sum per finished episode
     _episode_reward: float = field(default=0.0, repr=False)
-    _window: list = field(default_factory=list, repr=False)  # finished episodes' rewards
 
     def record(self, step, outcome, epsilon):
-        """Book one environment step: its row, its cars, and the episode it ends."""
+        """Book one environment step: its row, then its tally."""
         self.add_step(step, self.episode, outcome.reward, epsilon)
+        self.tally(outcome)
+
+    def tally(self, outcome):
+        """Count one step's cars and reward, and the episode it ends; each
+        100th finished episode closes a window with the mean of its block."""
         self.passed += outcome.cars_passed_this_step
         self.collided += outcome.cars_collided_this_step
         self._episode_reward += outcome.reward
         if outcome.terminal:
-            self._window.append(self._episode_reward)
-            if len(self._window) == WINDOW_EPISODES:
-                self.add_window(self.episode // WINDOW_EPISODES, float(np.mean(self._window)))
-                self._window = []
+            self.episode_rewards.append(self._episode_reward)
             self.episode += 1
             self._episode_reward = 0.0
+            if self.episode % WINDOW_EPISODES == 0:
+                block = self.episode_rewards[-WINDOW_EPISODES:]
+                self.add_window(self.episode // WINDOW_EPISODES - 1, float(np.mean(block)))
 
     def add_step(self, step, episode, reward, epsilon):
         self.steps.append((int(step), int(episode), float(reward), float(epsilon)))

@@ -67,6 +67,10 @@ class MlpParams:
             pos = bias_at + n_out
         self.layers = tuple(layers)
 
+    def __reduce__(self):
+        # a copy or an unpickled object rebuilds its views over its own theta
+        return MlpParams, (self.layer_dims, self.theta)
+
     def weight(self, k: int) -> np.ndarray:
         """Row-major (out x in) weight matrix of layer k, as a view."""
         return self.layers[k][0].T

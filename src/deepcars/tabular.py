@@ -99,8 +99,7 @@ def train_tabular(
 
 def save_qtable(table: QTable, path) -> None:
     write_lines(path, (
-        " ".join(str(v) for v in (state.ego_lane_id, *state.distances))
-        + " | " + " ".join(repr(float(q)) for q in table[state])
+        " ".join(map(str, state)) + " | " + " ".join(repr(float(q)) for q in table[state])
         for state in sorted(table)
     ))
 
@@ -128,7 +127,7 @@ def load_qtable(path) -> QTable:
                 raise ValueError(f"{path}:{lineno}: negative lane or distance")
             if not all(map(math.isfinite, qs)):
                 raise ValueError(f"{path}:{lineno}: non-finite Q-value")
-            state = TabularState(ints[0], tuple(ints[1:]))
+            state = tuple(ints)
             if state in table:
                 raise ValueError(f"{path}:{lineno}: repeated state {left.strip()!r}")
             table[state] = qs

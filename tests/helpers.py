@@ -308,7 +308,8 @@ def naive_validate(act, config: EnvConfig, episodes: int, seed: int):
 
 def naive_ledger(booked):
     """Reference for RunMetrics.record over one run's (outcome, epsilon, state
-    after the step) per step."""
+    after the step) per step; `episode_rewards` holds each finished episode's
+    reward, summed step by step."""
     from deepcars.metrics import RunMetrics
 
     metrics = RunMetrics()
@@ -322,6 +323,7 @@ def naive_ledger(booked):
             if out.reward < 0:
                 metrics.collided += state.collided_count
             window.append(episode_reward)
+            metrics.episode_rewards.append(episode_reward)
             episode_reward = 0.0
             if len(window) == 100:
                 metrics.windows.append((metrics.episode // 100, float(np.mean(window))))

@@ -11,7 +11,7 @@ import pytest
 
 from deepcars import net, tabular
 from deepcars.dqn import DqnHyperparams, greedy_policy, td_targets, train_dqn
-from deepcars.encoders import TabularState, encode_dqn, encode_tabular
+from deepcars.encoders import encode_dqn, encode_tabular
 from deepcars.env import EnvConfig, evaluate
 from deepcars.metrics import write_csv
 from deepcars.replay import Batch, ReplayBuffer
@@ -187,7 +187,7 @@ def test_criterion_7_encoder_fidelity():
         ".....\n#....\n.....\n.....\n.#...\n.....\n.....\n..E#."
     )
     got = encode_tabular(reference)
-    vector_ok = got == TabularState(2, (6, 3, 8, 0, 8))
+    vector_ok = got == (2, 6, 3, 8, 0, 8)
 
     from deepcars.env import EnvState
 
@@ -206,7 +206,7 @@ def test_criterion_7_encoder_fidelity():
     report(
         7,
         ok,
-        f"reference state vector {list((got.ego_lane_id, *got.distances))} "
+        f"reference state vector {list(got)} "
         f"(need [2, 6, 3, 8, 0, 8]); encode/decode round-trips {roundtrips}/10000",
     )
 

@@ -9,7 +9,6 @@ import pytest
 import deepcars
 from deepcars import net, tabular
 from deepcars.cli import ARCH_PRESETS, build_parser, run
-from deepcars.encoders import TabularState
 from deepcars.metrics import read_csv
 
 
@@ -354,8 +353,8 @@ def test_demo_qtable_model(tmp_path, capsys):
     assert "--episodes" in captured.err and captured.out == ""
 
 
-def _qtable_for(distances):
-    return {TabularState(0, distances): [0.5, 0.0, -0.5]}
+def _qtable_for(distances, ego=0):
+    return {(ego, *distances): [0.5, 0.0, -0.5]}
 
 
 @pytest.mark.parametrize("command", ["evaluate", "demo"])
@@ -366,8 +365,9 @@ def _qtable_for(distances):
         ("mlp-outputs", "2 outputs"),  # a net that can never steer right
         ("qtable-lanes", "for 3 lanes"),  # a 3-lane q-table on 5 lanes
         ("qtable-rows", "distance 8"),  # an 8-row q-table on 5 rows
+        ("qtable-ego", "ego lane 4"),  # a 3-lane q-table whose ego sits in lane 4
     ],
-    ids=["mlp", "mlp-outputs", "qtable-lanes", "qtable-rows"],
+    ids=["mlp", "mlp-outputs", "qtable-lanes", "qtable-rows", "qtable-ego"],
 )
 def test_evaluate_dimension_mismatch_is_usage_error(tmp_path, capsys, command, kind, message):
     model = tmp_path / "m.model"
@@ -378,6 +378,9 @@ def test_evaluate_dimension_mismatch_is_usage_error(tmp_path, capsys, command, k
         net.save_model(net.init_params([43, 4, 2], 0), model)
     elif kind == "qtable-lanes":
         tabular.save_qtable(_qtable_for((1, 3, 8)), model)
+    elif kind == "qtable-ego":
+        tabular.save_qtable(_qtable_for((3, 8, 8), ego=4), model)
+        argv += ["--lanes", "3"]
     else:
         tabular.save_qtable(_qtable_for((8, 2, 8, 8, 1)), model)
         argv += ["--rows", "5"]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,7 @@ from deepcars.dqn import (
 from deepcars.env import EnvConfig, evaluate
 from deepcars.replay import Batch
 
-from helpers import layer_offsets, metrics_equal, naive_dqn_rollout
+from helpers import layer_offsets, metrics_equal, naive_dqn_rollout, naive_validate
 
 
 SMALL_HP = DqnHyperparams(
@@ -195,6 +197,19 @@ def test_validate_zero_weights_empty_road():
     assert result.collided == 0
 
 
+@pytest.mark.parametrize(
+    "world", [{}, {"max_episode_steps": 3}], ids=["default", "three-step-episodes"]
+)
+def test_validate_matches_reference_loop_past_a_window(world):
+    # 130 episodes: the tally closes a 100-episode window inside validate
+    config = EnvConfig(**world)
+    params = net.init_params([43, 8, 3], 12)
+    act, encode = greedy_policy(params)
+    for seed in (0, 2**40 + 5):
+        result = validate(params, config, episodes=130, seed=seed)
+        assert tuple(result) == naive_validate(lambda s: act(encode(s)), config, 130, seed)
+
+
 def test_validate_is_seed_deterministic():
     params = net.init_params([43, 8, 3], 1)
     a = validate(params, EnvConfig(), episodes=4, seed=77)
@@ -306,3 +321,32 @@ def test_train_dqn_that_could_never_learn_is_refused():
     trainer = DqnTrainer(SMALL_CFG, replace(SMALL_HP, train_steps=200), seed=1)
     trainer.run()
     assert trainer.opt.step_count == 1
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+    ids=["deepcopy", "pickle"],
+)
+def test_copied_trainer_continues_bit_identically(duplicate):
+    # copied past learn_start; both runs then cross a target sync and a validation
+    hp = replace(SMALL_HP, learn_start=50, target_sync_period=100, fast_validation_period=100,
+                 deep_validation_period=10_000, replay_capacity=500)
+    trainer = DqnTrainer(SMALL_CFG, hp, seed=17)
+    for _ in range(120):
+        trainer.train_step()
+    twin = duplicate(trainer)
+    for run in (trainer, twin):
+        for _ in range(250):
+            run.train_step()
+    assert twin.step_index == trainer.step_index == 370
+    for name in ("online", "target"):
+        assert getattr(twin, name).theta.tobytes() == getattr(trainer, name).theta.tobytes()
+    for name in ("m", "v"):
+        assert getattr(twin.opt, name).tobytes() == getattr(trainer.opt, name).tobytes()
+    assert twin.opt.step_count == trainer.opt.step_count
+    assert twin.best.params.theta.tobytes() == trainer.best.params.theta.tobytes()
+    assert twin.best.training_step == trainer.best.training_step
+    assert twin.best.mean_validation_reward == trainer.best.mean_validation_reward
+    assert len(trainer.metrics.validations) == 3
+    assert metrics_equal(twin.metrics, trainer.metrics)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from deepcars.encoders import (
-    TabularState,
     dqn_state_size,
     encode_dqn,
     encode_tabular,
@@ -23,6 +22,12 @@ def _state(grid, ego):
     )
 
 
+def _env_at(grid, ego):
+    env = DeepCarsEnv(EnvConfig(rows=grid.shape[0], lanes=grid.shape[1]))
+    env.set_state(grid, ego)
+    return env
+
+
 def test_tabular_reference_configuration():
     # 5-lane, 8-row scene with ego in lane 2: nearest cars at per-lane
     # distances 6, 3, none, 0, none -> vector [2, 6, 3, 8, 0, 8]
@@ -36,20 +41,20 @@ def test_tabular_reference_configuration():
         ".....\n"
         "..E#."
     )
-    assert encode_tabular(state) == TabularState(2, (6, 3, 8, 0, 8))
+    assert encode_tabular(state) == (2, 6, 3, 8, 0, 8)
 
 
 def test_tabular_empty_grid_sentinels():
     state = _state(np.zeros((8, 3)), ego=1)
-    assert encode_tabular(state) == TabularState(1, (8, 8, 8))
+    assert encode_tabular(state) == (1, 8, 8, 8)
 
 
 def test_tabular_distance_origin_is_ego_row():
     # car on the ego row one lane over reads distance 0; one row ahead reads 1
     beside = state_from_ascii("...\n...\n...\n...\n...\n...\n...\n#E.")
-    assert encode_tabular(beside).distances[0] == 0
+    assert encode_tabular(beside)[1] == 0
     ahead = state_from_ascii("...\n...\n...\n...\n...\n...\n#..\n.E.")
-    assert encode_tabular(ahead).distances[0] == 1
+    assert encode_tabular(ahead)[1] == 1
 
 
 def test_tabular_matches_bruteforce_scan():
@@ -60,8 +65,8 @@ def test_tabular_matches_bruteforce_scan():
         grid = (rng.random((rows, lanes)) < 0.4).astype(np.uint8)
         ego = int(rng.integers(0, lanes))
         got = encode_tabular(_state(grid, ego))
-        assert got.ego_lane_id == ego
-        assert list(got.distances) == naive_tabular_distances(grid)
+        assert got[0] == ego
+        assert list(got[1:]) == naive_tabular_distances(grid)
 
 
 def test_tabular_consistency_invariant():
@@ -69,12 +74,23 @@ def test_tabular_consistency_invariant():
     for _ in range(200):
         grid = (rng.random((8, 5)) < 0.4).astype(np.uint8)
         state = _state(grid, int(rng.integers(0, 5)))
-        for lane, d in enumerate(encode_tabular(state).distances):
+        for lane, d in enumerate(encode_tabular(state)[1:]):
             if d == 8:
                 assert grid[:, lane].sum() == 0
             else:
                 assert grid[7 - d, lane] == 1
                 assert grid[8 - d :, lane].sum() == 0  # nothing nearer
+
+
+@pytest.mark.parametrize("ego", [2, np.int64(2)], ids=["int", "numpy-int"])
+def test_tabular_state_is_a_tuple_of_python_ints(ego):
+    grid = np.zeros((8, 5), dtype=np.uint8)
+    grid[3, 1] = 1
+    for source in (_state(grid, ego), _env_at(grid, ego)):
+        got = encode_tabular(source)
+        assert type(got) is tuple
+        assert [type(v) for v in got] == [int] * 6
+        assert got == (2, 8, 4, 8, 8, 8)
 
 
 def test_dqn_empty_grid_lane_bits():

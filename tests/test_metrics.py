@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deepcars.env import EnvConfig, Episodes
 from deepcars.metrics import (
     CsvParseError,
     RunMetrics,
@@ -14,7 +15,7 @@ from deepcars.metrics import (
     write_lines,
 )
 
-from helpers import metrics_equal
+from helpers import metrics_equal, naive_ledger
 
 
 def test_accuracy_examples():
@@ -35,6 +36,39 @@ def test_accuracy_bounds(passed, collided):
         assert acc is None
     else:
         assert 0.0 <= acc <= 100.0
+
+
+def _seeded_play(config, steps, seed):
+    """(outcome, state after the step) for `steps` random-action steps of a stream."""
+    stream = Episodes(config, lambda env: env.state, seed)
+    rng = np.random.default_rng(seed)
+    played = []
+    for _ in range(steps):
+        _, _, out, state = stream.step(lambda s: int(rng.integers(0, 3)))
+        played.append((out, state))
+    return played
+
+
+@pytest.mark.parametrize(
+    "world", [{}, {"max_episode_steps": 3}, {"occupancy_prob": 0.0, "max_episode_steps": 4}],
+    ids=["default", "three-step-episodes", "empty-road"],
+)
+def test_tally_counts_what_record_books(world):
+    played = _seeded_play(EnvConfig(**world), 2_500, 8)
+    booked, tallied = RunMetrics(), RunMetrics()
+    for t, (out, _) in enumerate(played, start=1):
+        booked.record(t, out, 0.25)
+        tallied.tally(out)
+    assert tallied.steps == []
+    for name in ("passed", "collided", "episode", "windows", "episode_rewards"):
+        assert getattr(tallied, name) == getattr(booked, name)
+    # the per-episode sums and windows of a ledger written out step by step
+    want = naive_ledger([(out, 0.25, state) for out, state in played])
+    assert metrics_equal(booked, want)
+    assert tallied.episode_rewards == want.episode_rewards
+    assert tallied.episode == len(want.episode_rewards)
+    if world.get("max_episode_steps") is not None:
+        assert len(tallied.windows) >= 5  # at least 500 three- or four-step episodes
 
 
 def _sample_metrics(with_none_accuracy=False):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -214,6 +216,16 @@ def test_clone_into_shape_mismatch():
         net.clone_into(src, dst)
 
 
+def _forward_from_theta(p, x):
+    """The oracle forward of `p`, with its layers sliced from `theta` anew."""
+    dims = p.layer_dims
+    weights, biases = [], []
+    for k, (w0, b0, end) in enumerate(layer_offsets(dims)):
+        weights.append(p.theta[w0:b0].reshape(dims[k + 1], dims[k]).tolist())
+        biases.append(p.theta[b0:end].tolist())
+    return naive_forward(weights, biases, x)
+
+
 def _adam_step(p, tmp_path):
     net.gradient_step(p, np.linspace(-1.0, 1.0, p.theta.size), net.make_optimizer(p, "adam"))
     return p
@@ -248,15 +260,32 @@ def test_layer_views_follow_theta(mutate, tmp_path):
     x = np.linspace(-1.0, 1.0, 6)
     net.forward(p, x)
     p = mutate(p, tmp_path)
-    dims = p.layer_dims
-    weights, biases = [], []
-    for k, (w0, b0, end) in enumerate(layer_offsets(dims)):
-        weights.append(p.theta[w0:b0].reshape(dims[k + 1], dims[k]).tolist())
-        biases.append(p.theta[b0:end].tolist())
-    assert np.max(np.abs(net.forward(p, x) - naive_forward(weights, biases, x))) < 1e-12
+    assert np.max(np.abs(net.forward(p, x) - _forward_from_theta(p, x))) < 1e-12
     for k in range(p.n_layers):
         assert np.shares_memory(p.weight(k), p.theta)
         assert np.shares_memory(p.bias(k), p.theta)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["deepcopy", "pickle"],
+)
+def test_copied_params_follow_their_own_theta(duplicate):
+    p = net.init_params([6, 5, 4, 3], 1)
+    x = np.linspace(-1.0, 1.0, 6)
+    before = net.forward(p, x)
+    twin = duplicate(p)
+    assert twin.layer_dims == p.layer_dims
+    assert net.forward(twin, x).tobytes() == before.tobytes()
+    twin.theta[:] = 0.0
+    assert np.array_equal(net.forward(twin, x), np.zeros(3))
+    twin.theta[:] = np.random.default_rng(96).uniform(-1.0, 1.0, twin.theta.size)
+    assert np.max(np.abs(net.forward(twin, x) - _forward_from_theta(twin, x))) < 1e-12
+    assert net.forward(p, x).tobytes() == before.tobytes()  # the original is left alone
+    for k in range(twin.n_layers):
+        assert np.shares_memory(twin.weight(k), twin.theta)
+        assert not np.shares_memory(twin.weight(k), p.theta)
 
 
 def test_params_reject_dims_and_theta_that_cannot_be_viewed():

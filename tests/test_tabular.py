@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from deepcars.encoders import TabularState
 from deepcars.env import EnvConfig, evaluate
 from deepcars.net import NumericError
 from deepcars.tabular import (
@@ -17,8 +16,8 @@ from deepcars.tabular import (
 from helpers import metrics_equal, naive_train_tabular
 
 HP = TabularHyperparams()
-S = TabularState(1, (3, 8, 8))
-S2 = TabularState(2, (8, 0, 8))
+S = (1, 3, 8, 8)
+S2 = (2, 8, 0, 8)
 
 
 def test_q_update_fresh_positive_reward():
@@ -96,7 +95,7 @@ def test_select_action_uniform_when_epsilon_one():
 
 def test_greedy_invariant_under_positive_scaling():
     rng = np.random.default_rng(4)
-    states = [TabularState(i % 3, (i, 8, 8)) for i in range(20)]
+    states = [(i % 3, i, 8, 8) for i in range(20)]
     table = {s: rng.uniform(-1, 1, 3).tolist() for s in states}
     before = [select_action(table, s, 0.0, rng) for s in states]
     for s in states:
@@ -179,13 +178,24 @@ def test_qtable_roundtrip(tmp_path):
     table = {}
     rng = np.random.default_rng(8)
     for i in range(40):
-        s = TabularState(int(rng.integers(0, 3)), tuple(rng.integers(0, 9, 3)))
+        s = (int(rng.integers(0, 3)), *rng.integers(0, 9, 3))
         table[s] = list(rng.uniform(-2, 2, 3))  # numpy scalars, as a caller may build
     path = tmp_path / "qtable.txt"
     save_qtable(table, path)
     loaded = load_qtable(path)
     assert loaded == table
     assert all(type(q) is float for qs in loaded.values() for q in qs)
+
+
+def test_saved_rows_are_the_keys_joined_in_sorted_order(tmp_path):
+    config = EnvConfig(lanes=3)
+    table, _ = train_tabular(config, TabularHyperparams(train_steps=2_000), seed=6)
+    path = tmp_path / "qtable.txt"
+    save_qtable(table, path)
+    lines = path.read_text().splitlines()
+    keys = sorted(table, key=lambda s: (s[0], s[1:]))  # ego lane first, then distances
+    assert [line.split(" | ")[0] for line in lines] == [" ".join(map(str, s)) for s in keys]
+    assert list(load_qtable(path)) == keys
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,11 @@ COMMANDS = (
     ("ddqn", ["train-dqn", "--arch", "ddqn16x16", "--steps", "6000", "--seed", "7",
               "--fast-val-period", "1000", "--fast-val-episodes", "5",
               "--deep-val-period", "3000", "--deep-val-episodes", "10", "--out", "ddqn"]),
+    # a deep validation of 100 episodes, so validate's tally closes a window
+    ("ddqn-deepval", ["train-dqn", "--arch", "ddqn16", "--steps", "2000", "--learn-start", "500",
+                      "--fast-val-period", "1000", "--fast-val-episodes", "5",
+                      "--deep-val-period", "2000", "--deep-val-episodes", "100", "--seed", "6",
+                      "--out", "ddqn-deepval"]),
     ("dqn", ["train-dqn", "--hidden", "16,16", "--steps", "4000", "--seed", "5",
              "--fast-val-period", "1000", "--fast-val-episodes", "5", "--out", "dqn"]),
     ("medium", ["train-dqn", "--arch", "medium", "--steps", "3000", "--seed", "3",
