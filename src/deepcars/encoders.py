@@ -1,5 +1,5 @@
 """State encoders: the tabular distance vector and the flat binary DQN vector,
-read from the `grid` and `ego_lane` of a live `DeepCarsEnv` or an `EnvState`."""
+read from the `cells`, `lanes` and `ego_lane` of a live `DeepCarsEnv` or an `EnvState`."""
 
 from __future__ import annotations
 
@@ -17,11 +17,11 @@ def encode_tabular(state: DeepCarsEnv | EnvState) -> TabularState:
     """Ego lane, then per lane the rows between the ego row and the closest car
     at or ahead of it (0 = a car beside the ego); a lane with no visible car
     reads `rows`."""
-    grid = state.grid
-    rows = grid.shape[0]
-    # one list per lane, index 0 = ego row; the grid is binary
-    lanes = grid[::-1].T.tolist()
-    return (int(state.ego_lane), *[lane.index(1) if 1 in lane else rows for lane in lanes])
+    cells = state.cells
+    lanes = state.lanes
+    last_row = len(cells) // lanes - 1
+    # rfind gives the row of a lane's nearest car, or -1 for none, which reads `rows`
+    return (int(state.ego_lane), *[last_row - cells[lane::lanes].rfind(1) for lane in range(lanes)])
 
 
 def lane_bit_width(lanes: int) -> int:
@@ -30,14 +30,10 @@ def lane_bit_width(lanes: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _lane_bit_table(lanes: int) -> np.ndarray:
+def _lane_bits(lanes: int) -> tuple[bytes, ...]:
+    """Per lane, its big-endian binary id as one 0/1 byte per bit."""
     width = lane_bit_width(lanes)
-    table = np.zeros((lanes, width))
-    for lane in range(lanes):
-        for i in range(width):
-            table[lane, i] = (lane >> (width - 1 - i)) & 1
-    table.setflags(write=False)
-    return table
+    return tuple(bytes(map(int, format(lane, f"0{width}b"))) for lane in range(lanes))
 
 
 def dqn_state_size(config: EnvConfig) -> int:
@@ -46,9 +42,6 @@ def dqn_state_size(config: EnvConfig) -> int:
 
 def encode_dqn(state: DeepCarsEnv | EnvState) -> np.ndarray:
     """Row-major flattened grid followed by the big-endian binary ego lane id."""
-    grid = state.grid
-    bits = _lane_bit_table(grid.shape[1])
-    out = np.empty(grid.size + bits.shape[1])
-    out[: grid.size] = grid.ravel()
-    out[grid.size :] = bits[state.ego_lane]
-    return out
+    cells = state.cells
+    bits = _lane_bits(state.lanes)[state.ego_lane]
+    return np.frombuffer(cells + bits, np.uint8).astype(np.float64)

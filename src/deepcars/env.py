@@ -63,15 +63,35 @@ class EnvConfig:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
+def _grid_bytes(grid) -> bytes:
+    """Row-major bytes of a 2-D grid of 0/1 cells; anything else is refused
+    before the cast to uint8 can wrap or truncate it."""
+    grid = np.asarray(grid)
+    if grid.ndim != 2:
+        raise ConfigError(f"grid must be 2-D, got shape {grid.shape}")
+    if not np.isin(grid, (0, 1)).all():
+        raise ConfigError("grid cells must be 0 or 1")
+    return grid.astype(np.uint8).tobytes()
+
+
 @dataclass(eq=False)
 class EnvState:
     """Value snapshot of the world; the grid holds traffic only, never the ego."""
 
-    grid: np.ndarray  # uint8 (rows, lanes)
+    grid: np.ndarray  # (rows, lanes) of 0/1 cells, uint8 from the env
     ego_lane: int
     step_count: int
     passed_count: int
     collided_count: int
+
+    @property
+    def cells(self) -> bytes:
+        """The grid as row-major bytes, as a live env keeps it (checked: 2-D, 0/1)."""
+        return _grid_bytes(self.grid)
+
+    @property
+    def lanes(self) -> int:
+        return np.shape(self.grid)[-1]
 
 
 @dataclass(eq=False)
@@ -94,18 +114,17 @@ def spawn_row(rng, config: EnvConfig, anchor_lane: int):
     index) is cleared; that lane is always the anchor itself, since any other
     nearby free lane would have satisfied the rule.
 
-    Returns (row, new_anchor) where new_anchor is the free lane nearest the
-    old anchor, ties toward the lower index.
+    Returns (row, new_anchor): the row is `lanes` bytes of 0/1, and new_anchor
+    is the free lane nearest the old anchor, ties toward the lower index.
     """
-    row = (rng.random(config.lanes) < config.occupancy_prob).astype(np.uint8)
-    cells = row.tolist()
+    cells = (rng.random(config.lanes) < config.occupancy_prob).tolist()
     # lanes in order of distance from the anchor, the lower index first on ties
     for d in range(config.spawn_interval):
         for lane in (anchor_lane - d, anchor_lane + d):
             if 0 <= lane < config.lanes and not cells[lane]:
-                return row, lane
-    row[anchor_lane] = 0
-    return row, anchor_lane
+                return bytes(cells), lane
+    cells[anchor_lane] = False
+    return bytes(cells), anchor_lane
 
 
 class DeepCarsEnv:
@@ -113,6 +132,10 @@ class DeepCarsEnv:
 
     def __init__(self, config: EnvConfig):
         self.config = config
+        # the config values step reads on every call
+        self.lanes = config.lanes
+        self._interval = config.spawn_interval
+        self._max_steps = config.max_episode_steps
         self._start(config.seed)
 
     def reset(self, seed: int | None = None) -> EnvState:
@@ -134,9 +157,14 @@ class DeepCarsEnv:
         self._anchor = self._ego
 
     @property
+    def cells(self) -> bytes:
+        """Row-major copy of the traffic, one 0/1 byte per cell; later steps leave it as it is."""
+        return bytes(self._cells)
+
+    @property
     def grid(self) -> np.ndarray:
-        """Read-only uint8 (rows, lanes) copy of the traffic; later steps leave it as it is."""
-        return np.frombuffer(bytes(self._cells), np.uint8).reshape(self.config.rows, -1)
+        """Read-only uint8 (rows, lanes) view of `cells`."""
+        return np.frombuffer(self.cells, np.uint8).reshape(-1, self.lanes)
 
     @property
     def ego_lane(self) -> int:
@@ -145,13 +173,7 @@ class DeepCarsEnv:
     @property
     def state(self) -> EnvState:
         """A fresh, writable snapshot of the world."""
-        return EnvState(
-            grid=self.grid.copy(),
-            ego_lane=self._ego,
-            step_count=self._steps,
-            passed_count=self._passed,
-            collided_count=self._collided,
-        )
+        return EnvState(self.grid.copy(), self._ego, self._steps, self._passed, self._collided)
 
     @property
     def terminal(self) -> bool:
@@ -171,12 +193,10 @@ class DeepCarsEnv:
                 raise ConfigError(f"ego_lane {ego_lane} outside [0, {self.config.lanes})")
         if grid is not None:
             grid = np.asarray(grid)
-            shape = (self.config.rows, self.config.lanes)
+            shape = (self.config.rows, self.lanes)
             if grid.shape != shape:
                 raise ConfigError(f"grid shape {grid.shape} does not match {shape}")
-            if not np.isin(grid, (0, 1)).all():  # before the cast to uint8 can wrap or truncate
-                raise ConfigError("grid cells must be 0 or 1")
-            self._cells[:] = grid.astype(np.uint8).tobytes()
+            self._cells[:] = _grid_bytes(grid)
         if ego_lane is not None:
             self._ego = int(ego_lane)
 
@@ -188,27 +208,21 @@ class DeepCarsEnv:
             raise ValueError(f"invalid action {action}")
 
         # lateral move, clamped at the road edges
-        self._ego = min(max(self._ego + (action - 1), 0), self.config.lanes - 1)
+        lanes = self.lanes
+        self._ego = ego = min(max(self._ego + (action - 1), 0), lanes - 1)
 
-        passed, collided = kernels.advance(self._cells, self.config.lanes, self._ego)
-        self._steps += 1
+        passed, collided = kernels.advance(self._cells, lanes, ego)
+        steps = self._steps = self._steps + 1
 
-        if self._steps % self.config.spawn_interval == 0:
+        if steps % self._interval == 0:
             row, self._anchor = spawn_row(self._rng, self.config, self._anchor)
-            spawned = row.tobytes()
-            self._cells[: self.config.lanes] = spawned
-            self._spawned += spawned.count(1)
+            self._cells[:lanes] = row
+            self._spawned += row.count(1)
 
         self._passed += passed
         self._collided += collided
-        collision = collided > 0
-        self._terminal = collision or self._steps >= self.config.max_episode_steps
-        return StepOutcome(
-            reward=-1.0 if collision else 1.0,
-            terminal=self._terminal,
-            cars_passed_this_step=passed,
-            cars_collided_this_step=collided,
-        )
+        self._terminal = terminal = collided > 0 or steps >= self._max_steps
+        return StepOutcome(-1.0 if collided else 1.0, terminal, passed, collided)
 
 
 def roll_seed(rng: np.random.Generator) -> int:
@@ -259,15 +273,8 @@ def evaluate(policy, config: EnvConfig, steps: int, seed: int) -> RunMetrics:
 
 def render_ascii(state: EnvState) -> str:
     """One line per row: '.' empty, '#' car, 'E' ego ('X' if a car shares its cell)."""
-    rows, lanes = state.grid.shape
-    lines = []
-    for r in range(rows):
-        chars = []
-        for l in range(lanes):
-            car = state.grid[r, l] != 0
-            if r == rows - 1 and l == state.ego_lane:
-                chars.append("X" if car else "E")
-            else:
-                chars.append("#" if car else ".")
-        lines.append("".join(chars))
-    return "\n".join(lines)
+    cells, lanes = state.cells, state.lanes
+    chars = [".#"[cell] for cell in cells]
+    ego = len(cells) - lanes + state.ego_lane
+    chars[ego] = "EX"[cells[ego]]
+    return "\n".join("".join(chars[i : i + lanes]) for i in range(0, len(cells), lanes))

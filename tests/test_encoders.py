@@ -7,9 +7,15 @@ from deepcars.encoders import (
     encode_tabular,
     lane_bit_width,
 )
-from deepcars.env import DeepCarsEnv, EnvConfig, EnvState
+from deepcars.env import ConfigError, DeepCarsEnv, EnvConfig, EnvState
 
-from helpers import decode_dqn, naive_tabular_distances, state_from_ascii
+from helpers import (
+    decode_dqn,
+    naive_spawn_row,
+    naive_step,
+    naive_tabular_distances,
+    state_from_ascii,
+)
 
 
 def _state(grid, ego):
@@ -93,6 +99,41 @@ def test_tabular_state_is_a_tuple_of_python_ints(ego):
         assert got == (2, 8, 4, 8, 8, 8)
 
 
+def _raw_state(grid, ego):
+    # the grid as given, no cast
+    return EnvState(grid=grid, ego_lane=ego, step_count=0, passed_count=0, collided_count=0)
+
+
+@pytest.mark.parametrize("encode", [encode_tabular, encode_dqn], ids=["tabular", "dqn"])
+@pytest.mark.parametrize("cell", [-1, 2, 0.5], ids=repr)
+def test_encoders_refuse_a_snapshot_cell_that_is_not_0_or_1(encode, cell):
+    # -1 once encoded as -1.0, and a 2 beside the ego as an empty lane
+    grid = np.zeros((3, 3), dtype=np.asarray(cell).dtype)
+    grid[2, 0] = cell
+    with pytest.raises(ConfigError, match="0 or 1"):
+        encode(_raw_state(grid, 1))
+
+
+@pytest.mark.parametrize("encode", [encode_tabular, encode_dqn], ids=["tabular", "dqn"])
+@pytest.mark.parametrize("shape", [(9,), (2, 3, 3)], ids=["1-D", "3-D"])
+def test_encoders_refuse_a_snapshot_grid_that_is_not_2d(encode, shape):
+    with pytest.raises(ConfigError, match="2-D"):
+        encode(_raw_state(np.zeros(shape, np.uint8), 1))
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64], ids=["bool", "int64"])
+def test_encoders_accept_binary_bool_and_int64_grids(dtype):
+    config = EnvConfig()
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        grid = rng.random((8, 5)) < 0.4
+        ego = int(rng.integers(0, 5))
+        state = _raw_state(grid.astype(dtype), ego)
+        assert encode_tabular(state) == (ego, *naive_tabular_distances(grid))
+        back_grid, back_ego = decode_dqn(encode_dqn(state), config)
+        assert np.array_equal(back_grid, grid) and back_ego == ego
+
+
 def test_dqn_empty_grid_lane_bits():
     state = _state(np.zeros((8, 5)), ego=2)
     vec = encode_dqn(state)
@@ -150,22 +191,56 @@ def test_encoding_length_constant():
     assert sizes == {43}
 
 
+# every world of 2-7 lanes, 2-9 rows and spawn interval 1-4 at one occupancy
+def _sweep(prob):
+    return [
+        {"lanes": lanes, "rows": rows, "spawn_interval": interval, "occupancy_prob": prob,
+         "max_episode_steps": 12}
+        for lanes in range(2, 8)
+        for rows in range(2, 10)
+        for interval in range(1, 5)
+    ]
+
+
 @pytest.mark.parametrize(
-    "world",
-    [{}, {"lanes": 3}, {"max_episode_steps": 3}],
-    ids=["default", "three-lanes", "three-step-episodes"],
+    "worlds, episodes",
+    [([{}], 30), ([{"lanes": 3}], 30), ([{"max_episode_steps": 3}], 30),
+     (_sweep(0.0), 3), (_sweep(0.4), 3), (_sweep(0.95), 3)],
+    ids=["default", "three-lanes", "three-step-episodes",
+         "sweep-empty-road", "sweep-p0.4", "sweep-p0.95"],
 )
-def test_encoders_read_the_live_env_as_its_snapshot(world):
-    # right after each reset and after every step of seeded random play
-    env = DeepCarsEnv(EnvConfig(**world))
+def test_encoders_read_the_live_env_as_its_snapshot(worlds, episodes):
+    # right after each reset and after every step of seeded random play, the live
+    # env encodes as its snapshot and as a reference world stepped beside it by
+    # naive_step and naive_spawn_row, which draw from their own generator
     rng = np.random.default_rng(8)
-    for episode in range(30):
-        env.reset(episode)
-        while True:
-            snapshot = env.state
-            live, want = encode_dqn(env), encode_dqn(snapshot)
-            assert live.dtype == want.dtype and live.tobytes() == want.tobytes()
-            assert encode_tabular(env) == encode_tabular(snapshot)
-            if env.terminal:
-                break
-            env.step(int(rng.integers(0, 3)))
+    for world in worlds:
+        config = EnvConfig(**world)
+        env = DeepCarsEnv(config)
+        for episode in range(episodes):
+            env.reset(episode)
+            ref = np.random.default_rng(episode)
+            grid = np.zeros((config.rows, config.lanes), np.uint8)
+            ego = anchor = config.lanes // 2
+            for t in range(1, config.max_episode_steps + 2):
+                snapshot = env.state
+                live, want = encode_dqn(env), encode_dqn(snapshot)
+                assert live.dtype == want.dtype and live.tobytes() == want.tobytes()
+                back_grid, back_ego = decode_dqn(live, config)
+                assert np.array_equal(back_grid, grid) and back_ego == ego
+                tab = encode_tabular(env)
+                assert tab == encode_tabular(snapshot)
+                assert tab == (ego, *naive_tabular_distances(grid))
+                # the env's generator has made exactly the reference's draws
+                assert env._rng.bit_generator.state == ref.bit_generator.state
+                if env.terminal:
+                    break
+                action = int(rng.integers(0, 3))
+                out = env.step(action)
+                grid, ego, passed, collided = naive_step(grid, ego, action)
+                if t % config.spawn_interval == 0:
+                    row, anchor = naive_spawn_row(ref, config, anchor)
+                    grid[0] = row
+                assert (out.cars_passed_this_step, out.cars_collided_this_step) == (
+                    passed, collided)
+            assert env.terminal

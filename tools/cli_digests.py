@@ -25,6 +25,9 @@ COMMANDS = (
     # 5-lane keys, the greedy branch that draws nothing, and alpha = 1
     ("tab5", ["train-tabular", "--lanes", "5", "--epsilon", "0", "--alpha", "1", "--steps", "5000",
               "--seed", "4", "--out", "tab5"]),
+    # the narrowest world, where spawns with one lane kept free often need the repair
+    ("tab2", ["train-tabular", "--lanes", "2", "--rows", "3", "--spawn-interval", "1",
+              "--occupancy-prob", "0.9", "--steps", "5000", "--seed", "8", "--out", "tab2"]),
     ("ddqn", ["train-dqn", "--arch", "ddqn16x16", "--steps", "6000", "--seed", "7",
               "--fast-val-period", "1000", "--fast-val-episodes", "5",
               "--deep-val-period", "3000", "--deep-val-episodes", "10", "--out", "ddqn"]),
@@ -39,6 +42,9 @@ COMMANDS = (
                 "--fast-val-period", "1000", "--fast-val-episodes", "5", "--out", "medium"]),
     ("eval-tab", ["evaluate", "--model", "tab/qtable.txt", "--lanes", "3", "--steps", "20000",
                   "--seed", "2", "--out", "eval-tab"]),
+    ("eval-tab2", ["evaluate", "--model", "tab2/qtable.txt", "--lanes", "2", "--rows", "3",
+                   "--spawn-interval", "1", "--occupancy-prob", "0.9", "--steps", "5000",
+                   "--seed", "2", "--out", "eval-tab2"]),
     ("eval-mlp", ["evaluate", "--model", "ddqn/best.model", "--steps", "20000", "--seed", "9",
                   "--out", "eval-mlp"]),
     # 3000 steps of episodes capped at 12: a reset, then an encode of the fresh world, every
