@@ -30,8 +30,6 @@ ARCH_PRESETS = {
     "ddqn16": (16,),
     "ddqn16x16": (16, 16),
 }
-# presets named ddqn* also switch the trainer to Double DQN
-DOUBLE_Q_PRESETS = ("ddqn16", "ddqn16x16")
 
 
 class CliUsageError(Exception):
@@ -143,9 +141,9 @@ def _kv_lines(obj) -> list[str]:
     return lines
 
 
-def _write_snapshot(out_dir, sections: dict) -> str:
+def _write_snapshot(out_dir, *settings) -> str:
     path = os.path.join(out_dir, "config.txt")
-    metrics_mod.write_lines(path, [line for obj in sections.values() for line in _kv_lines(obj)])
+    metrics_mod.write_lines(path, [line for obj in settings for line in _kv_lines(obj)])
     return path
 
 
@@ -164,24 +162,32 @@ def _print_accuracy(label, run: metrics_mod.RunMetrics):
 # subcommands
 
 
-def cmd_train_tabular(args) -> int:
-    config, hp = _settings(args, EnvConfig, TabularHyperparams)
-    table, run = tabular.train_tabular(config, hp, config.seed)
-    qtable_path = os.path.join(args.out, "qtable.txt")
-    tabular.save_qtable(table, qtable_path)
+def _finish_training(args, run, config, hp, *model_lines) -> int:
+    """Write a training run's CSVs and config snapshot, then print its summary,
+    with `model_lines` naming the saved model between accuracy and metrics."""
     metrics_mod.write_csv(run, args.out)
-    snapshot = _write_snapshot(args.out, {"env": config, "hyperparams": hp})
+    snapshot = _write_snapshot(args.out, config, hp)
     _print_accuracy("training", run)
-    print(f"q-table: {qtable_path}")
+    for line in model_lines:
+        print(line)
     print(f"metrics: {args.out}/steps.csv {args.out}/windows.csv {args.out}/validation.csv")
     print(f"config snapshot: {snapshot}")
     return 0
 
 
+def cmd_train_tabular(args) -> int:
+    config, hp = _settings(args, EnvConfig, TabularHyperparams)
+    table, run = tabular.train_tabular(config, hp, config.seed)
+    qtable_path = os.path.join(args.out, "qtable.txt")
+    tabular.save_qtable(table, qtable_path)
+    return _finish_training(args, run, config, hp, f"q-table: {qtable_path}")
+
+
 def cmd_train_dqn(args) -> int:
     if args.arch:
         args.hidden_layers = ARCH_PRESETS[args.arch]
-        if args.arch in DOUBLE_Q_PRESETS:
+        # presets named ddqn* also switch the trainer to Double DQN
+        if args.arch.startswith("ddqn"):
             args.double_q = True
     config, hp = _settings(args, EnvConfig, dqn.DqnHyperparams)
     best, final, run = dqn.train_dqn(config, hp, config.seed)
@@ -195,17 +201,12 @@ def cmd_train_dqn(args) -> int:
         f"mean_validation_reward={best.mean_validation_reward!r}",
         *_kv_lines(hp),
     ])
-    metrics_mod.write_csv(run, args.out)
-    snapshot = _write_snapshot(args.out, {"env": config, "hyperparams": hp})
-    _print_accuracy("training", run)
-    print(
+    return _finish_training(
+        args, run, config, hp,
         f"best checkpoint: step {best.training_step}, "
-        f"mean validation reward {best.mean_validation_reward:.2f}"
+        f"mean validation reward {best.mean_validation_reward:.2f}",
+        f"models: {best_path} (+ {meta_path}), {final_path}",
     )
-    print(f"models: {best_path} (+ {meta_path}), {final_path}")
-    print(f"metrics: {args.out}/steps.csv {args.out}/windows.csv {args.out}/validation.csv")
-    print(f"config snapshot: {snapshot}")
-    return 0
 
 
 def _load_model(path, config: EnvConfig):
@@ -258,7 +259,7 @@ def cmd_evaluate(args) -> int:
         f"collided={run.collided}",
         f"accuracy={'n/a' if acc is None else repr(acc)}",
     ])
-    snapshot = _write_snapshot(args.out, {"env": config})
+    snapshot = _write_snapshot(args.out, config)
     print(f"summary: {summary}")
     print(f"config snapshot: {snapshot}")
     return 0

@@ -5,7 +5,6 @@ best-model checkpointing."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,13 +74,6 @@ class Checkpoint:
     training_step: int
 
 
-class ValidationResult(NamedTuple):
-    mean_reward: float
-    accuracy_pct: float | None
-    passed: int
-    collided: int
-
-
 def epsilon_at(hp: DqnHyperparams, step_index: int) -> float:
     """Linear schedule over step indices starting at 0."""
     if step_index >= hp.epsilon_decay_steps:
@@ -126,10 +118,8 @@ def greedy_policy(params: MlpParams):
     return lambda vec: greedy_action(params, vec), encode_dqn
 
 
-def validate(
-    params: MlpParams, config: EnvConfig, episodes: int, seed: int
-) -> ValidationResult:
-    """Greedy rollouts on fresh environment instances; parameters untouched."""
+def validate(params: MlpParams, config: EnvConfig, episodes: int, seed: int) -> RunMetrics:
+    """Greedy rollouts of `episodes` episodes, tallied; parameters untouched."""
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     act, encode = greedy_policy(params)
@@ -137,12 +127,7 @@ def validate(
     run = RunMetrics()
     while run.episode < episodes:
         run.tally(stream.step(act)[2])
-    return ValidationResult(
-        mean_reward=sum(run.episode_rewards) / episodes,
-        accuracy_pct=run.accuracy(),
-        passed=run.passed,
-        collided=run.collided,
-    )
+    return run
 
 
 class DqnTrainer:
@@ -151,7 +136,6 @@ class DqnTrainer:
     def __init__(self, config: EnvConfig, hp: DqnHyperparams, seed: int):
         self.config = config
         self.hp = hp
-        self.seed = seed
         state_dim = dqn_state_size(config)
         dims = [state_dim, *hp.hidden_layers, 3]
 
@@ -213,17 +197,16 @@ class DqnTrainer:
 
     def _validation_phase(self, step: int, episodes: int) -> None:
         seed = roll_seed(np.random.default_rng(np.random.SeedSequence([self._val_master, step])))
-        result = validate(self.online, self.config, episodes, seed)
-        is_best = self.best is None or (
-            result.mean_reward > self.best.mean_validation_reward
-        )
+        run = validate(self.online, self.config, episodes, seed)
+        mean_reward = sum(run.episode_rewards) / episodes
+        is_best = self.best is None or mean_reward > self.best.mean_validation_reward
         if is_best:
             self.best = Checkpoint(
                 params=net.clone(self.online),
-                mean_validation_reward=result.mean_reward,
+                mean_validation_reward=mean_reward,
                 training_step=step,
             )
-        self.metrics.add_validation(step, result.mean_reward, result.accuracy_pct, is_best)
+        self.metrics.add_validation(step, mean_reward, run.accuracy(), is_best)
 
     def run(self) -> tuple[Checkpoint, MlpParams, RunMetrics]:
         while self.step_index < self.hp.train_steps:

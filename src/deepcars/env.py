@@ -74,15 +74,26 @@ def _grid_bytes(grid) -> bytes:
     return grid.astype(np.uint8).tobytes()
 
 
-@dataclass(eq=False)
+def _check_ego_lane(ego_lane, lanes: int) -> None:
+    if isinstance(ego_lane, bool) or not isinstance(ego_lane, (int, np.integer)):
+        raise ConfigError(f"ego_lane must be an integer, got {ego_lane!r}")
+    if not 0 <= ego_lane < lanes:
+        raise ConfigError(f"ego_lane {ego_lane} outside [0, {lanes})")
+
+
+@dataclass(frozen=True, eq=False)
 class EnvState:
-    """Value snapshot of the world; the grid holds traffic only, never the ego."""
+    """Value snapshot of the world; the grid holds traffic only, never the ego.
+    An ego lane that is not an integer lane of the grid is refused on creation."""
 
     grid: np.ndarray  # (rows, lanes) of 0/1 cells, uint8 from the env
     ego_lane: int
     step_count: int
     passed_count: int
     collided_count: int
+
+    def __post_init__(self):
+        _check_ego_lane(self.ego_lane, self.lanes)
 
     @property
     def cells(self) -> bytes:
@@ -138,10 +149,9 @@ class DeepCarsEnv:
         self._max_steps = config.max_episode_steps
         self._start(config.seed)
 
-    def reset(self, seed: int | None = None) -> EnvState:
+    def reset(self, seed: int | None = None) -> None:
         """Start a fresh episode; the RNG stream is fully determined by `seed`."""
         self._start(self.config.seed if seed is None else seed)
-        return self.state
 
     def _start(self, seed: int) -> None:
         # __init__ calls this, not reset, so each reset call is one episode start
@@ -172,7 +182,7 @@ class DeepCarsEnv:
 
     @property
     def state(self) -> EnvState:
-        """A fresh, writable snapshot of the world."""
+        """A fresh snapshot of the world, with its own copy of the grid."""
         return EnvState(self.grid.copy(), self._ego, self._steps, self._passed, self._collided)
 
     @property
@@ -187,10 +197,7 @@ class DeepCarsEnv:
     def set_state(self, grid: np.ndarray | None = None, ego_lane: int | None = None):
         """Overwrite the live grid/ego for scripted scenarios; a refused call changes neither."""
         if ego_lane is not None:
-            if isinstance(ego_lane, bool) or not isinstance(ego_lane, (int, np.integer)):
-                raise ConfigError(f"ego_lane must be an integer, got {ego_lane!r}")
-            if not 0 <= ego_lane < self.config.lanes:
-                raise ConfigError(f"ego_lane {ego_lane} outside [0, {self.config.lanes})")
+            _check_ego_lane(ego_lane, self.lanes)
         if grid is not None:
             grid = np.asarray(grid)
             shape = (self.config.rows, self.lanes)

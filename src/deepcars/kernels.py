@@ -1,4 +1,4 @@
-"""Hot numeric kernels: dense-net passes, optimizer updates, grid advance.
+"""Hot numeric kernels: dense-net passes, the Adam update, grid advance.
 
 There is one backend: every kernel is plain numpy.
 
@@ -64,10 +64,6 @@ def adam_update(theta, grad, m, v, step, lr, beta1, beta2, eps):
     upd *= lr
     upd /= tmp
     theta -= upd
-
-
-def sgd_update(theta, grad, lr):
-    theta -= lr * grad
 
 
 def advance(cells, lanes, ego_lane):

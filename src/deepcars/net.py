@@ -188,7 +188,7 @@ def gradient_step(params: MlpParams, grad: np.ndarray, opt: OptimizerState) -> N
             ADAM_EPS,
         )
     else:
-        kernels.sgd_update(params.theta, grad, opt.learning_rate)
+        params.theta -= opt.learning_rate * grad
 
 
 def _fmt(values) -> str:

@@ -227,7 +227,8 @@ def run_lookahead(config: EnvConfig, seed: int, steps: int):
 
     env = DeepCarsEnv(config)
     agent = CorridorAgent(config)
-    state = env.reset(seed)
+    env.reset(seed)
+    state = env.state
     agent.reset()
     collisions = 0
     violations = 0
@@ -242,7 +243,8 @@ def run_lookahead(config: EnvConfig, seed: int, steps: int):
         if state.step_count % config.spawn_interval == 0:
             agent.observe_spawn(state.grid[0], state.step_count)
         if out.terminal:
-            state = env.reset(seed + 1 + state.step_count)
+            env.reset(seed + 1 + state.step_count)
+            state = env.state
             agent.reset()
     return collisions, steps, violations
 
@@ -258,7 +260,8 @@ def naive_evaluate(act, config: EnvConfig, steps: int, seed: int):
 
     rng = np.random.default_rng(seed)
     env = DeepCarsEnv(config)
-    state = env.reset(int(rng.integers(0, 2**63)))
+    env.reset(int(rng.integers(0, 2**63)))
+    state = env.state
     rows = []
     passed = 0
     collided = 0
@@ -271,9 +274,8 @@ def naive_evaluate(act, config: EnvConfig, steps: int, seed: int):
             if out.reward < 0:
                 collided += env.state.collided_count
             episode += 1
-            state = env.reset(int(rng.integers(0, 2**63)))
-        else:
-            state = env.state
+            env.reset(int(rng.integers(0, 2**63)))
+        state = env.state
     return rows, passed, collided
 
 
@@ -287,7 +289,8 @@ def naive_validate(act, config: EnvConfig, episodes: int, seed: int):
     passed = 0
     collided = 0
     for _ in range(episodes):
-        state = env.reset(int(rng.integers(0, 2**63)))
+        env.reset(int(rng.integers(0, 2**63)))
+        state = env.state
         while True:
             out = env.step(act(state))
             total_reward += out.reward
@@ -344,7 +347,8 @@ def naive_train_tabular(config: EnvConfig, hp, seed: int):
     table = {}
     zeros = np.zeros(3)
     env = DeepCarsEnv(config)
-    s = encode_tabular(env.reset(int(episode_rng.integers(0, 2**63))))
+    env.reset(int(episode_rng.integers(0, 2**63)))
+    s = encode_tabular(env.state)
     booked = []
     for _ in range(hp.train_steps):
         # epsilon 0 draws nothing; greedy ties go to the lowest action code
@@ -363,7 +367,8 @@ def naive_train_tabular(config: EnvConfig, hp, seed: int):
         q[a] += hp.alpha * (out.reward + bootstrap - q[a])
         booked.append((out, hp.epsilon, state))
         if out.terminal:
-            s = encode_tabular(env.reset(int(episode_rng.integers(0, 2**63))))
+            env.reset(int(episode_rng.integers(0, 2**63)))
+            s = encode_tabular(env.state)
         else:
             s = s_next
     return table, naive_ledger(booked)
@@ -382,7 +387,8 @@ def naive_dqn_rollout(config: EnvConfig, hp, seed: int, steps: int):
     action_rng = np.random.default_rng(seq[1])
     episode_rng = np.random.default_rng(seq[2])
     env = DeepCarsEnv(config)
-    vec = encode_dqn(env.reset(int(episode_rng.integers(0, 2**63))))
+    env.reset(int(episode_rng.integers(0, 2**63)))
+    vec = encode_dqn(env.state)
     stored = []
     booked = []
     for i in range(steps):
@@ -397,7 +403,8 @@ def naive_dqn_rollout(config: EnvConfig, hp, seed: int, steps: int):
         stored.append((vec, a, out.reward, next_vec, out.terminal and out.reward < 0))
         booked.append((out, eps, state))
         if out.terminal:
-            vec = encode_dqn(env.reset(int(episode_rng.integers(0, 2**63))))
+            env.reset(int(episode_rng.integers(0, 2**63)))
+            vec = encode_dqn(env.state)
         else:
             vec = next_vec
     return stored, naive_ledger(booked)

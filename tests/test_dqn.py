@@ -191,10 +191,10 @@ def test_validate_zero_weights_empty_road():
     config = EnvConfig(occupancy_prob=0.0, max_episode_steps=50)
     params = net.init_params([43, 8, 3], 0)
     params.theta[:] = 0.0
-    result = validate(params, config, episodes=3, seed=9)
-    assert result.mean_reward == 50.0
-    assert result.accuracy_pct is None  # vacuous: no cars resolved
-    assert result.collided == 0
+    run = validate(params, config, episodes=3, seed=9)
+    assert run.episode_rewards == [50.0, 50.0, 50.0]
+    assert run.accuracy() is None  # vacuous: no cars resolved
+    assert run.collided == 0
 
 
 @pytest.mark.parametrize(
@@ -206,8 +206,10 @@ def test_validate_matches_reference_loop_past_a_window(world):
     params = net.init_params([43, 8, 3], 12)
     act, encode = greedy_policy(params)
     for seed in (0, 2**40 + 5):
-        result = validate(params, config, episodes=130, seed=seed)
-        assert tuple(result) == naive_validate(lambda s: act(encode(s)), config, 130, seed)
+        run = validate(params, config, episodes=130, seed=seed)
+        assert run.episode == 130
+        assert (sum(run.episode_rewards) / 130, run.accuracy(), run.passed, run.collided) == (
+            naive_validate(lambda s: act(encode(s)), config, 130, seed))
 
 
 def test_validate_is_seed_deterministic():

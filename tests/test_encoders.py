@@ -7,7 +7,7 @@ from deepcars.encoders import (
     encode_tabular,
     lane_bit_width,
 )
-from deepcars.env import ConfigError, DeepCarsEnv, EnvConfig, EnvState
+from deepcars.env import ConfigError, DeepCarsEnv, EnvConfig, EnvState, render_ascii
 
 from helpers import (
     decode_dqn,
@@ -104,7 +104,13 @@ def _raw_state(grid, ego):
     return EnvState(grid=grid, ego_lane=ego, step_count=0, passed_count=0, collided_count=0)
 
 
-@pytest.mark.parametrize("encode", [encode_tabular, encode_dqn], ids=["tabular", "dqn"])
+# everything that reads a snapshot's cells and ego lane
+_snapshot_readers = pytest.mark.parametrize(
+    "encode", [encode_tabular, encode_dqn, render_ascii], ids=["tabular", "dqn", "render"]
+)
+
+
+@_snapshot_readers
 @pytest.mark.parametrize("cell", [-1, 2, 0.5], ids=repr)
 def test_encoders_refuse_a_snapshot_cell_that_is_not_0_or_1(encode, cell):
     # -1 once encoded as -1.0, and a 2 beside the ego as an empty lane
@@ -114,11 +120,19 @@ def test_encoders_refuse_a_snapshot_cell_that_is_not_0_or_1(encode, cell):
         encode(_raw_state(grid, 1))
 
 
-@pytest.mark.parametrize("encode", [encode_tabular, encode_dqn], ids=["tabular", "dqn"])
+@_snapshot_readers
 @pytest.mark.parametrize("shape", [(9,), (2, 3, 3)], ids=["1-D", "3-D"])
 def test_encoders_refuse_a_snapshot_grid_that_is_not_2d(encode, shape):
     with pytest.raises(ConfigError, match="2-D"):
         encode(_raw_state(np.zeros(shape, np.uint8), 1))
+
+
+@_snapshot_readers
+@pytest.mark.parametrize("ego", [-1, -5, 5, True, 2.0], ids=repr)
+def test_encoders_refuse_a_snapshot_ego_lane_off_the_road(encode, ego):
+    # -1 once encoded as lane 4's id, -5 as lane 0 and True as lane 1
+    with pytest.raises(ConfigError, match="ego_lane"):
+        encode(_raw_state(np.zeros((8, 5), np.uint8), ego))
 
 
 @pytest.mark.parametrize("dtype", [bool, np.int64], ids=["bool", "int64"])

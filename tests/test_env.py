@@ -31,18 +31,27 @@ from helpers import (
 
 
 def test_reset_defaults():
-    env = DeepCarsEnv(EnvConfig(lanes=5, rows=8))
-    state = env.reset(42)
-    assert state.ego_lane == 2
-    assert state.grid.shape == (8, 5)
-    assert state.grid.sum() == 0
-    assert state.step_count == 0
-    assert state.passed_count == 0 and state.collided_count == 0
+    # reset starts an episode and returns nothing; env.state is the snapshot:
+    # an empty grid, the ego in the middle lane and zero counters
+    rng = np.random.default_rng(3)
+    for lanes, middle in ((2, 1), (3, 1), (5, 2)):
+        env = DeepCarsEnv(EnvConfig(lanes=lanes, rows=8, occupancy_prob=0.9))
+        while not env.terminal and env.state.step_count < 12:
+            env.step(int(rng.integers(0, 3)))
+        assert env.state.grid.any()
+        assert env.reset(42) is None
+        state = env.state
+        assert state.ego_lane == middle
+        assert state.grid.shape == (8, lanes)
+        assert state.grid.sum() == 0
+        assert state.step_count == 0
+        assert state.passed_count == 0 and state.collided_count == 0
 
 
 def test_reset_three_lanes_starts_middle():
     env = DeepCarsEnv(EnvConfig(lanes=3, rows=8))
-    assert env.reset(0).ego_lane == 1
+    env.reset(0)
+    assert env.state.ego_lane == 1
 
 
 @pytest.mark.parametrize(
@@ -287,7 +296,7 @@ def test_conservation_every_car_resolves_once():
     env = DeepCarsEnv(config)
     rng = np.random.default_rng(11)
     for episode in range(12):
-        state = env.reset(1000 + episode)
+        env.reset(1000 + episode)
         while True:
             out = env.step(int(rng.integers(0, 3)))
             state = env.state
@@ -429,8 +438,9 @@ def test_greedy_rollouts_match_reference_loops(world):
             rows, passed, collided = naive_evaluate(plays[name], config, 700, seed)
             assert run.steps == rows
             assert (run.passed, run.collided) == (passed, collided)
-        result = dqn.validate(params, config, 5, seed)
-        assert tuple(result) == naive_validate(plays["mlp"], config, 5, seed)
+        run = dqn.validate(params, config, 5, seed)
+        assert (sum(run.episode_rewards) / 5, run.accuracy(), run.passed, run.collided) == (
+            naive_validate(plays["mlp"], config, 5, seed))
 
 
 def test_episode_stream_starts_an_episode_only_when_stepped_past_a_terminal():

@@ -36,6 +36,10 @@ COMMANDS = (
                       "--fast-val-period", "1000", "--fast-val-episodes", "5",
                       "--deep-val-period", "2000", "--deep-val-episodes", "100", "--seed", "6",
                       "--out", "ddqn-deepval"]),
+    # the plain SGD update
+    ("dqn-sgd", ["train-dqn", "--arch", "ddqn16", "--optimizer", "sgd", "--learning-rate", "0.01",
+                 "--steps", "2000", "--learn-start", "500", "--fast-val-period", "1000",
+                 "--fast-val-episodes", "5", "--seed", "11", "--out", "dqn-sgd"]),
     ("dqn", ["train-dqn", "--hidden", "16,16", "--steps", "4000", "--seed", "5",
              "--fast-val-period", "1000", "--fast-val-episodes", "5", "--out", "dqn"]),
     ("medium", ["train-dqn", "--arch", "medium", "--steps", "3000", "--seed", "3",
@@ -54,6 +58,9 @@ COMMANDS = (
     ("demo-tab", ["demo", "--model", "tab/qtable.txt", "--lanes", "3", "--episodes", "2",
                   "--seed", "3"]),
     ("demo-mlp", ["demo", "--model", "ddqn/best.model", "--episodes", "2", "--seed", "3"]),
+    # three 4-step episodes: a reset, then a snapshot of the fresh world, every 4 steps
+    ("demo-short", ["demo", "--model", "ddqn/best.model", "--episodes", "3",
+                    "--max-episode-steps", "4", "--seed", "4"]),
     ("plot", ["plot", "ddqn/windows.csv", "dqn/windows.csv", "-o", "plot/curves.svg",
               "--labels", "ddqn,dqn", "--title", "windows"]),
 )
