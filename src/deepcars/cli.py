@@ -44,9 +44,7 @@ def _parse_hidden(text: str):
         sizes = tuple(int(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad hidden layer list {text!r}") from None
-    if any(s < 1 for s in sizes):
-        raise argparse.ArgumentTypeError(f"hidden layer sizes must be positive: {text!r}")
-    return sizes
+    return sizes  # DqnHyperparams refuses a size below 1, from a flag or a file alike
 
 
 def _parse_bool(text: str) -> bool:

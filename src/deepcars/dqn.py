@@ -10,7 +10,7 @@ import numpy as np
 
 from . import net
 from .encoders import dqn_state_size, encode_dqn
-from .env import EnvConfig, Episodes, roll_seed
+from .env import EnvConfig, Episodes, check_integer_fields, is_integer, roll_seed
 from .metrics import RunMetrics
 from .net import MlpParams, NumericError
 from .replay import Batch, ReplayBuffer
@@ -40,31 +40,16 @@ class DqnHyperparams:
     deep_validation_episodes: int = 100
 
     def __post_init__(self):
-        positive = (
-            "epsilon_decay_steps",
-            "batch_size",
-            "replay_capacity",
-            "target_sync_period",
-            "learn_start",
-            "fast_validation_period",
-            "fast_validation_episodes",
-            "deep_validation_period",
-            "deep_validation_episodes",
-        )
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        check_integer_fields(self, least=1, train_steps=0)
+        if not self.hidden_layers:
+            raise ValueError("hidden_layers must not be empty")
         if self.learn_start > self.replay_capacity:  # the buffer never fills past capacity
             raise ValueError(f"learn_start {self.learn_start} exceeds replay_capacity "
                              f"{self.replay_capacity}: training would never learn")
-        if self.train_steps < 0:
-            raise ValueError(f"train_steps must be >= 0, got {self.train_steps}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
-        if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
-            raise ValueError(f"hidden_layers must be positive, got {self.hidden_layers}")
 
 
 @dataclass(eq=False)
@@ -120,8 +105,8 @@ def greedy_policy(params: MlpParams):
 
 def validate(params: MlpParams, config: EnvConfig, episodes: int, seed: int) -> RunMetrics:
     """Greedy rollouts of `episodes` episodes, tallied; parameters untouched."""
-    if episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    if not is_integer(episodes) or episodes < 1:
+        raise ValueError(f"episodes must be an integer >= 1, got {episodes!r}")
     act, encode = greedy_policy(params)
     stream = Episodes(config, encode, seed)
     run = RunMetrics()

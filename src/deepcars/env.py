@@ -12,7 +12,7 @@ row. The grid stores traffic only; the ego is tracked by its lane index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -35,6 +35,26 @@ class TerminalStateError(RuntimeError):
     """step() was called on a finished episode."""
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integer_fields(settings, least=0, error=ValueError, **bounds) -> None:
+    """Refuse a field of the dataclass `settings` whose default is an int and whose
+    value is not an integer of at least `bounds.get(name, least)`, or whose default
+    is a tuple and whose value is not a tuple of such integers."""
+    for f in fields(settings):
+        kind, value, low = type(f.default), getattr(settings, f.name), bounds.get(f.name, least)
+        if kind is tuple:
+            ok = isinstance(value, tuple) and all(is_integer(v) and v >= low for v in value)
+        else:
+            ok = kind is not int or (is_integer(value) and value >= low)
+        if not ok:
+            what = "a tuple of integers" if kind is tuple else "an integer"
+            raise error(f"{f.name} must be {what} >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     lanes: int = 5
@@ -45,21 +65,11 @@ class EnvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lanes < 2:
-            raise ConfigError(f"lanes must be >= 2, got {self.lanes}")
-        if self.rows < 2:
-            raise ConfigError(f"rows must be >= 2, got {self.rows}")
-        if self.spawn_interval < 1:
-            raise ConfigError(f"spawn_interval must be >= 1, got {self.spawn_interval}")
+        check_integer_fields(self, 0, ConfigError, lanes=2, rows=2, spawn_interval=1,
+                             max_episode_steps=1)
         if not 0.0 <= self.occupancy_prob < 1.0:
-            raise ConfigError(
-                f"occupancy_prob must be in [0, 1), got {self.occupancy_prob}"
-            )
-        if self.max_episode_steps < 1:
-            raise ConfigError(
-                f"max_episode_steps must be >= 1, got {self.max_episode_steps}"
-            )
-        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"occupancy_prob must be in [0, 1), got {self.occupancy_prob}")
+        if self.seed >= 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
@@ -75,7 +85,7 @@ def _grid_bytes(grid) -> bytes:
 
 
 def _check_ego_lane(ego_lane, lanes: int) -> None:
-    if isinstance(ego_lane, bool) or not isinstance(ego_lane, (int, np.integer)):
+    if not is_integer(ego_lane):
         raise ConfigError(f"ego_lane must be an integer, got {ego_lane!r}")
     if not 0 <= ego_lane < lanes:
         raise ConfigError(f"ego_lane {ego_lane} outside [0, {lanes})")

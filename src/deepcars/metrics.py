@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -50,21 +51,15 @@ class RunMetrics:
                 block = self.episode_rewards[-WINDOW_EPISODES:]
                 self.add_window(self.episode // WINDOW_EPISODES - 1, float(np.mean(block)))
 
+    # add_* append as given; write_csv refuses a cell its column's type cannot hold
     def add_step(self, step, episode, reward, epsilon):
-        self.steps.append((int(step), int(episode), float(reward), float(epsilon)))
+        self.steps.append((step, episode, reward, epsilon))
 
     def add_window(self, window, mean_reward):
-        self.windows.append((int(window), float(mean_reward)))
+        self.windows.append((window, mean_reward))
 
     def add_validation(self, step, mean_reward, accuracy_pct, is_new_best):
-        self.validations.append(
-            (
-                int(step),
-                float(mean_reward),
-                None if accuracy_pct is None else float(accuracy_pct),
-                bool(is_new_best),
-            )
-        )
+        self.validations.append((step, mean_reward, accuracy_pct, is_new_best))
 
     def accuracy(self):
         return accuracy(self.passed, self.collided)
@@ -108,16 +103,6 @@ def write_lines(path, lines) -> None:
         raise
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "n/a"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
 # column type of `accuracy`: a float, or n/a (None) when no car resolved
 _FLOAT_OR_NA = "float or n/a"
 
@@ -134,19 +119,29 @@ _FAMILIES = (
 )
 
 
-def _csv_lines(columns, records):
+# Writer of each column type, the inverse of `_parse`: a column's cells in, their text
+# out. int takes integers only (numpy ones too), float numbers, bool True/False or 1/0.
+_WRITERS = {
+    int: lambda cells: map(str, map(index, cells)),
+    float: lambda cells: map(repr, map(float, cells)),
+    bool: lambda cells: map({True: "1", False: "0"}.__getitem__, cells),
+    _FLOAT_OR_NA: lambda cells: ("n/a" if v is None else repr(float(v)) for v in cells),
+}
+
+
+def _csv_lines(path, columns, records):
+    if any(len(rec) != len(columns) for rec in records):
+        raise ValueError(f"{path}: every record must have {len(columns)} cells")
     yield ",".join(name for name, _ in columns)
-    for rec in records:
-        yield ",".join(_fmt(v) for v in rec)
+    cells = [_WRITERS[kind](map(itemgetter(k), records)) for k, (_, kind) in enumerate(columns)]
+    yield from map(",".join, zip(*cells))
 
 
 def write_csv(metrics: RunMetrics, out_dir) -> None:
     for name, attr, columns in _FAMILIES:
-        if attr is None:
-            records = [(int(metrics.passed), int(metrics.collided))]
-        else:
-            records = getattr(metrics, attr)
-        write_lines(os.path.join(out_dir, name), _csv_lines(columns, records))
+        path = os.path.join(out_dir, name)
+        records = [(metrics.passed, metrics.collided)] if attr is None else getattr(metrics, attr)
+        write_lines(path, _csv_lines(path, columns, records))
 
 
 def _read_rows(path, header=None):

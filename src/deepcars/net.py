@@ -191,21 +191,21 @@ def gradient_step(params: MlpParams, grad: np.ndarray, opt: OptimizerState) -> N
         params.theta -= opt.learning_rate * grad
 
 
-def _fmt(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+def _blocks(params: MlpParams):
+    """(label, view) of each parameter block in model-file order: w0, b0, w1, ..."""
+    return [(f"{kind}{k}", view) for k in range(params.n_layers)
+            for kind, view in (("w", params.weight(k)), ("b", params.bias(k)))]
 
 
 def save_model(params: MlpParams, path, optimizer: str = "adam") -> None:
     """Versioned text format: dims, optimizer tag, then per-layer w/b blocks."""
-    lines = [
+    write_lines(path, [
         f"format {MODEL_FORMAT_TAG}",
         "dims " + ",".join(map(str, params.layer_dims)),
         f"optimizer {optimizer}",
-    ]
-    for k in range(params.n_layers):
-        lines.append(f"w{k} " + _fmt(params.weight(k).ravel()))
-        lines.append(f"b{k} " + _fmt(params.bias(k)))
-    write_lines(path, lines)
+        *(f"{label} " + " ".join(map(repr, view.ravel().tolist()))
+          for label, view in _blocks(params)),
+    ])
 
 
 def load_model(path) -> tuple[MlpParams, str]:
@@ -228,11 +228,7 @@ def load_model(path) -> tuple[MlpParams, str]:
     except ValueError as exc:  # ShapeError included
         raise ModelFormatError(f"{path}: bad dims {dims_text!r}: {exc}") from None
     optimizer = lines[2].split(" ", 1)[1]
-    blocks = [
-        (f"{kind}{k}", view)
-        for k in range(params.n_layers)
-        for kind, view in (("w", params.weight(k)), ("b", params.bias(k)))
-    ]
+    blocks = _blocks(params)
     body = lines[3:]
     if len(body) != len(blocks):
         raise ModelFormatError(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import TabularState, encode_tabular
-from .env import EnvConfig, Episodes
+from .env import EnvConfig, Episodes, check_integer_fields
 from .metrics import RunMetrics, write_lines
 from .net import NumericError
 
@@ -26,14 +26,13 @@ class TabularHyperparams:
     train_steps: int = 50_000
 
     def __post_init__(self):
+        check_integer_fields(self)
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.train_steps < 0:
-            raise ValueError(f"train_steps must be >= 0, got {self.train_steps}")
 
 
 def q_update(

@@ -165,6 +165,21 @@ def test_learn_start_past_replay_capacity_is_usage_error(tmp_path, capsys, where
 
 
 @pytest.mark.parametrize("where", ["flag", "file"])
+@pytest.mark.parametrize("sizes", ["0", "16,0"])
+def test_non_positive_hidden_size_is_usage_error(tmp_path, capsys, where, sizes):
+    # DqnHyperparams refuses the size, whether it came from the flag or the file
+    cfg = tmp_path / "dqn.cfg"
+    cfg.write_text(f"hidden_layers={sizes}\n")
+    out = tmp_path / "run"
+    argv = ["train-dqn", "--steps", "20", "--learn-start", "10", "--out", str(out)]
+    argv += ["--hidden", sizes] if where == "flag" else ["--config", str(cfg)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "hidden_layers" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
 def test_run_that_could_never_learn_is_usage_error(tmp_path, capsys, where):
     # 400 steps never reach learn_start 1000: both saved models would be untrained
     cfg = tmp_path / "dqn.cfg"

@@ -212,6 +212,14 @@ def test_validate_matches_reference_loop_past_a_window(world):
             naive_validate(lambda s: act(encode(s)), config, 130, seed))
 
 
+@pytest.mark.parametrize("episodes", [2.5, True, 0], ids=repr)
+def test_validate_refuses_an_episode_count_that_is_not_a_positive_integer(episodes):
+    # 2.5 once played 3 episodes, and the trainer's mean divided their sum by 2.5
+    params = net.init_params([43, 8, 3], 0)
+    with pytest.raises(ValueError, match="episodes must be an integer >= 1"):
+        validate(params, EnvConfig(), episodes, 1)
+
+
 def test_validate_is_seed_deterministic():
     params = net.init_params([43, 8, 3], 1)
     a = validate(params, EnvConfig(), episodes=4, seed=77)
@@ -304,6 +312,17 @@ def test_hyperparam_validation():
         DqnHyperparams(batch_size=0)
     with pytest.raises(ValueError):
         DqnHyperparams(hidden_layers=())
+    # counts must be integers: a sync period of 100.5 once synced only at steps
+    # 201 and 402, and 2.5 train steps once ran 3; a list of hidden sizes once
+    # went into config.txt as `hidden_layers=[16, 16]`, which --config cannot read
+    for name, value in [("target_sync_period", 100.5), ("train_steps", 2.5),
+                        ("fast_validation_episodes", 2.5), ("batch_size", True),
+                        ("hidden_layers", [16, 16]), ("hidden_layers", (16, 0)),
+                        ("hidden_layers", (16.0,))]:
+        with pytest.raises(ValueError, match=name):
+            DqnHyperparams(**{name: value})
+    numpy_counts = DqnHyperparams(batch_size=np.int64(8), hidden_layers=(np.int64(4),))
+    assert numpy_counts.batch_size == 8 and numpy_counts.hidden_layers == (4,)
 
 
 def test_learn_start_past_replay_capacity_is_refused():

@@ -64,6 +64,11 @@ def test_reset_three_lanes_starts_middle():
         (dict(occupancy_prob=-0.1), "occupancy_prob"),
         (dict(max_episode_steps=0), "max_episode_steps"),
         (dict(seed=-1), "seed"),
+        # counts must be integers: 10.5 once played 11-step episodes, and True
+        # once went into config.txt as `seed=True`, which --config cannot read
+        (dict(max_episode_steps=10.5), "max_episode_steps"),
+        (dict(seed=True), "seed"),
+        (dict(lanes=np.float64(3.0)), "lanes"),
     ],
 )
 def test_config_bounds_rejected(kwargs, fragment):

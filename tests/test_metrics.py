@@ -141,6 +141,59 @@ def test_failed_csv_write_keeps_old_file(tmp_path):
     assert after == before  # steps.csv keeps its old bytes, and no temp file is left
 
 
+def test_numpy_cells_are_written_by_their_column_type(tmp_path):
+    # the public lists may hold numpy scalars; each cell is written as its column's
+    # type says (an np.int64 step was once written as 1.0, and np.True_ as 1.0),
+    # so the file reads back, with the same bytes as Python-typed records
+    m = RunMetrics(
+        steps=[(np.int64(1), np.int64(0), np.float64(1.0), np.float64(0.5)), (2, 0, -1.0, 0.25)],
+        windows=[(np.int64(0), np.float64(123.456))],
+        validations=[(np.int64(300), 200.0, None, np.True_),
+                     (400, np.float64(150.5), np.float64(97.25), np.False_)],
+        passed=np.int64(321),
+        collided=np.int64(9),
+    )
+    plain = RunMetrics(
+        steps=[(1, 0, 1.0, 0.5), (2, 0, -1.0, 0.25)],
+        windows=[(0, 123.456)],
+        validations=[(300, 200.0, None, True), (400, 150.5, 97.25, False)],
+        passed=321,
+        collided=9,
+    )
+    write_csv(m, tmp_path / "numpy")
+    write_csv(plain, tmp_path / "plain")
+    for name in os.listdir(tmp_path / "plain"):
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert (tmp_path / "numpy" / "steps.csv").read_text().splitlines()[1] == "1,0,1.0,0.5"
+    assert (tmp_path / "numpy" / "validation.csv").read_text().splitlines()[1] == "300,200.0,n/a,1"
+    back = read_csv(tmp_path / "numpy")
+    assert metrics_equal(back, plain)
+    assert (back.steps, back.windows, back.validations) == (m.steps, m.windows, m.validations)
+
+
+@pytest.mark.parametrize(
+    "family,record,error",
+    [
+        ("steps", (1, 0, None, 0.5), TypeError),  # once written as n/a, which no reader took
+        ("steps", (1.0, 0, 1.0, 0.5), TypeError),  # a float step is not an integer
+        ("windows", (0, "not a number"), ValueError),
+        ("validations", (1, None, 50.0, True), TypeError),  # n/a only under accuracy
+        ("validations", (1, 1.0, 50.0, None), KeyError),
+        ("steps", (1, 0, 1.0), ValueError),  # too few cells
+        ("steps", (1, 0, 1.0, 0.5, 7), ValueError),  # too many cells
+    ],
+)
+def test_cell_its_column_cannot_hold_is_refused_at_write_time(tmp_path, family, record, error):
+    write_csv(_sample_metrics(), tmp_path)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    bad = _sample_metrics()
+    getattr(bad, family).append(record)
+    with pytest.raises(error):
+        write_csv(bad, tmp_path)
+    after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert after == before  # every file keeps its old bytes, and no temp file is left
+
+
 def test_write_lines_failing_iterator_keeps_old_file(tmp_path):
     path = tmp_path / "sub" / "artifact.txt"
     write_lines(path, ["old", "lines"])  # creates the missing directory

@@ -218,7 +218,8 @@ def test_qtable_parse_error_names_line(tmp_path, line, message):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(gamma=1.0), dict(alpha=0.0), dict(alpha=1.5), dict(epsilon=-0.1)],
+    [dict(gamma=1.0), dict(alpha=0.0), dict(alpha=1.5), dict(epsilon=-0.1),
+     dict(train_steps=2.5), dict(train_steps=-1)],
 )
 def test_hyperparam_bounds(kwargs):
     with pytest.raises(ValueError):

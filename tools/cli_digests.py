@@ -40,6 +40,11 @@ COMMANDS = (
     ("dqn-sgd", ["train-dqn", "--arch", "ddqn16", "--optimizer", "sgd", "--learning-rate", "0.01",
                  "--steps", "2000", "--learn-start", "500", "--fast-val-period", "1000",
                  "--fast-val-episodes", "5", "--seed", "11", "--out", "dqn-sgd"]),
+    # an empty road: validations resolve no car, so their accuracy is n/a, the summary
+    # row is 0,0 and stdout has the "n/a (no cars encountered)" line
+    ("dqn-emptyroad", ["train-dqn", "--arch", "ddqn16", "--occupancy-prob", "0", "--steps", "600",
+                       "--learn-start", "200", "--fast-val-period", "300",
+                       "--fast-val-episodes", "2", "--seed", "12", "--out", "dqn-emptyroad"]),
     ("dqn", ["train-dqn", "--hidden", "16,16", "--steps", "4000", "--seed", "5",
              "--fast-val-period", "1000", "--fast-val-episodes", "5", "--out", "dqn"]),
     ("medium", ["train-dqn", "--arch", "medium", "--steps", "3000", "--seed", "3",
