@@ -19,8 +19,7 @@ import dataclasses
 
 from . import dqn, metrics as metrics_mod, net, tabular
 from .encoders import dqn_state_size
-from .env import Action, ConfigError, EnvConfig, Episodes, evaluate, render_ascii
-from .net import ModelFormatError
+from .env import Action, EnvConfig, Episodes, evaluate, render_ascii
 from .tabular import TabularHyperparams
 
 ARCH_PRESETS = {
@@ -32,16 +31,13 @@ ARCH_PRESETS = {
 }
 
 
-class CliUsageError(Exception):
+class CliUsageError(ValueError):
     """Bad invocation: unknown key, invalid value, or missing input file."""
 
 
 def _parse_hidden(text: str):
-    parts = text.split(",")
-    if any(p.strip() == "" for p in parts):
-        raise argparse.ArgumentTypeError(f"bad hidden layer list {text!r}")
-    try:
-        sizes = tuple(int(p) for p in parts)
+    try:  # int() refuses an empty or blank part
+        sizes = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad hidden layer list {text!r}") from None
     return sizes  # DqnHyperparams refuses a size below 1, from a flag or a file alike
@@ -367,7 +363,7 @@ def run(argv=None) -> int:
     except net.NumericError as exc:  # diverged training and friends
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CliUsageError, ConfigError, ModelFormatError, ValueError) as exc:
+    except ValueError as exc:  # CliUsageError, ConfigError, ModelFormatError and friends
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures

@@ -12,7 +12,7 @@ row. The grid stores traffic only; the ego is tracked by its lane index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
@@ -73,46 +73,45 @@ class EnvConfig:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
-def _grid_bytes(grid) -> bytes:
-    """Row-major bytes of a 2-D grid of 0/1 cells; anything else is refused
-    before the cast to uint8 can wrap or truncate it."""
-    grid = np.asarray(grid)
-    if grid.ndim != 2:
-        raise ConfigError(f"grid must be 2-D, got shape {grid.shape}")
-    if not np.isin(grid, (0, 1)).all():
-        raise ConfigError("grid cells must be 0 or 1")
-    return grid.astype(np.uint8).tobytes()
-
-
-def _check_ego_lane(ego_lane, lanes: int) -> None:
-    if not is_integer(ego_lane):
-        raise ConfigError(f"ego_lane must be an integer, got {ego_lane!r}")
-    if not 0 <= ego_lane < lanes:
-        raise ConfigError(f"ego_lane {ego_lane} outside [0, {lanes})")
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EnvState:
     """Value snapshot of the world; the grid holds traffic only, never the ego.
-    An ego lane that is not an integer lane of the grid is refused on creation."""
 
-    grid: np.ndarray  # (rows, lanes) of 0/1 cells, uint8 from the env
+    On creation the grid is checked (2-D, every cell 0 or 1) and copied into
+    `cells`, and an ego lane that is not an integer lane of the grid is refused;
+    `grid` is then a read-only uint8 view of `cells`. Snapshots compare and hash
+    by value: cells, lanes, ego lane and step count."""
+
+    grid: np.ndarray = field(compare=False, repr=False)  # (rows, lanes), a view of `cells`
     ego_lane: int
     step_count: int
-    passed_count: int
-    collided_count: int
+    cells: bytes = field(init=False)  # row-major, one 0/1 byte per cell
+    lanes: int = field(init=False)
 
     def __post_init__(self):
-        _check_ego_lane(self.ego_lane, self.lanes)
+        grid, ego = np.asarray(self.grid), self.ego_lane
+        if grid.ndim != 2:
+            raise ConfigError(f"grid must be 2-D, got shape {grid.shape}")
+        if not np.isin(grid, (0, 1)).all():  # checked before the cast to uint8 can wrap a cell
+            raise ConfigError("grid cells must be 0 or 1")
+        if not is_integer(ego):
+            raise ConfigError(f"ego_lane must be an integer, got {ego!r}")
+        if not 0 <= ego < grid.shape[1]:
+            raise ConfigError(f"ego_lane {ego} outside [0, {grid.shape[1]})")
+        _snapshot(grid.astype(np.uint8).tobytes(), grid.shape[1], int(ego), self.step_count, self)
 
-    @property
-    def cells(self) -> bytes:
-        """The grid as row-major bytes, as a live env keeps it (checked: 2-D, 0/1)."""
-        return _grid_bytes(self.grid)
+    def __reduce__(self):
+        # a copy or an unpickled snapshot rebuilds its view over its own cells
+        return _snapshot, (self.cells, self.lanes, self.ego_lane, self.step_count)
 
-    @property
-    def lanes(self) -> int:
-        return np.shape(self.grid)[-1]
+
+def _snapshot(cells: bytes, lanes: int, ego_lane: int, step_count: int, state=None) -> EnvState:
+    """`state`, a new EnvState by default, holding cells and an ego lane already
+    checked, as a live env's are; the one place a frozen snapshot's fields are set."""
+    state = object.__new__(EnvState) if state is None else state
+    grid = np.frombuffer(cells, np.uint8).reshape(-1, lanes)
+    vars(state).update(grid=grid, ego_lane=ego_lane, step_count=step_count, cells=cells, lanes=lanes)
+    return state
 
 
 @dataclass(eq=False)
@@ -170,9 +169,6 @@ class DeepCarsEnv:
         self._cells = bytearray(self.config.rows * self.config.lanes)
         self._ego = self.config.lanes // 2
         self._steps = 0
-        self._passed = 0
-        self._collided = 0
-        self._spawned = 0
         self._terminal = False
         self._anchor = self._ego
 
@@ -192,30 +188,23 @@ class DeepCarsEnv:
 
     @property
     def state(self) -> EnvState:
-        """A fresh snapshot of the world, with its own copy of the grid."""
-        return EnvState(self.grid.copy(), self._ego, self._steps, self._passed, self._collided)
+        """A snapshot of the world, with its own copy of the cells."""
+        return _snapshot(self.cells, self.lanes, self._ego, self._steps)
 
     @property
     def terminal(self) -> bool:
         return self._terminal
 
-    @property
-    def total_spawned(self) -> int:
-        """Cars spawned since the last reset (for conservation accounting)."""
-        return self._spawned
-
     def set_state(self, grid: np.ndarray | None = None, ego_lane: int | None = None):
-        """Overwrite the live grid/ego for scripted scenarios; a refused call changes neither."""
-        if ego_lane is not None:
-            _check_ego_lane(ego_lane, self.lanes)
-        if grid is not None:
-            grid = np.asarray(grid)
-            shape = (self.config.rows, self.lanes)
-            if grid.shape != shape:
-                raise ConfigError(f"grid shape {grid.shape} does not match {shape}")
-            self._cells[:] = _grid_bytes(grid)
-        if ego_lane is not None:
-            self._ego = int(ego_lane)
+        """Overwrite the live grid/ego for scripted scenarios, checked as a snapshot
+        of them is; a refused call changes neither."""
+        state = EnvState(self.grid if grid is None else grid,
+                         self._ego if ego_lane is None else ego_lane, self._steps)
+        shape = (self.config.rows, self.lanes)
+        if state.grid.shape != shape:
+            raise ConfigError(f"grid shape {state.grid.shape} does not match {shape}")
+        self._cells[:] = state.cells
+        self._ego = state.ego_lane
 
     def step(self, action: int) -> StepOutcome:
         if self._terminal:
@@ -234,10 +223,7 @@ class DeepCarsEnv:
         if steps % self._interval == 0:
             row, self._anchor = spawn_row(self._rng, self.config, self._anchor)
             self._cells[:lanes] = row
-            self._spawned += row.count(1)
 
-        self._passed += passed
-        self._collided += collided
         self._terminal = terminal = collided > 0 or steps >= self._max_steps
         return StepOutcome(-1.0 if collided else 1.0, terminal, passed, collided)
 

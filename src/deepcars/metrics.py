@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import index, itemgetter
 
 import numpy as np
@@ -119,13 +120,24 @@ _FAMILIES = (
 )
 
 
+def _finite(cells):
+    """The cells as floats, checked a block at a time (so a column is never held
+    whole); nan and inf, which `_parse` refuses, raise ValueError."""
+    cells = map(float, cells)
+    for block in iter(lambda: list(islice(cells, 4096)), []):
+        if not np.isfinite(block).all():
+            bad = next(v for v in block if not math.isfinite(v))
+            raise ValueError(f"a number cell must be finite, got {bad!r}")
+        yield from block
+
+
 # Writer of each column type, the inverse of `_parse`: a column's cells in, their text
-# out. int takes integers only (numpy ones too), float numbers, bool True/False or 1/0.
+# out. int takes integers only (numpy ones too), float finite numbers, bool True/False or 1/0.
 _WRITERS = {
     int: lambda cells: map(str, map(index, cells)),
-    float: lambda cells: map(repr, map(float, cells)),
+    float: lambda cells: map(repr, _finite(cells)),
     bool: lambda cells: map({True: "1", False: "0"}.__getitem__, cells),
-    _FLOAT_OR_NA: lambda cells: ("n/a" if v is None else repr(float(v)) for v in cells),
+    _FLOAT_OR_NA: lambda cells: ("n/a" if v is None else repr(*_finite([v])) for v in cells),
 }
 
 
@@ -183,7 +195,8 @@ def _parse(path, lineno, kind, text):
 
 
 def read_csv(out_dir) -> RunMetrics:
-    """Exact inverse of write_csv."""
+    """Inverse of write_csv for what it writes: `steps`, `windows`, `validations`,
+    `passed` and `collided`; every other RunMetrics field keeps its default."""
     metrics = RunMetrics()
     for name, attr, columns in _FAMILIES:
         path = os.path.join(out_dir, name)

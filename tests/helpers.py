@@ -43,15 +43,9 @@ def parse_ascii(text: str):
     return grid, ego_lane
 
 
-def state_from_ascii(text: str, step_count=0, passed=0, collided=0) -> EnvState:
+def state_from_ascii(text: str, step_count=0) -> EnvState:
     grid, ego = parse_ascii(text)
-    return EnvState(
-        grid=grid,
-        ego_lane=ego,
-        step_count=step_count,
-        passed_count=passed,
-        collided_count=collided,
-    )
+    return EnvState(grid=grid, ego_lane=ego, step_count=step_count)
 
 
 def naive_step(grid, ego_lane, action):
@@ -272,7 +266,7 @@ def naive_evaluate(act, config: EnvConfig, steps: int, seed: int):
         passed += out.cars_passed_this_step
         if out.terminal:
             if out.reward < 0:
-                collided += env.state.collided_count
+                collided += out.cars_collided_this_step
             episode += 1
             env.reset(int(rng.integers(0, 2**63)))
         state = env.state
@@ -296,7 +290,8 @@ def naive_validate(act, config: EnvConfig, episodes: int, seed: int):
             total_reward += out.reward
             passed += out.cars_passed_this_step
             if out.terminal:
-                collided += env.state.collided_count
+                if out.reward < 0:
+                    collided += out.cars_collided_this_step
                 break
             state = env.state
     resolved = passed + collided
@@ -310,21 +305,21 @@ def naive_validate(act, config: EnvConfig, episodes: int, seed: int):
 
 
 def naive_ledger(booked):
-    """Reference for RunMetrics.record over one run's (outcome, epsilon, state
-    after the step) per step; `episode_rewards` holds each finished episode's
-    reward, summed step by step."""
+    """Reference for RunMetrics.record over one run's (outcome, epsilon) per
+    step; `episode_rewards` holds each finished episode's reward, summed step
+    by step."""
     from deepcars.metrics import RunMetrics
 
     metrics = RunMetrics()
     episode_reward = 0.0
     window = []
-    for t, (out, eps, state) in enumerate(booked, start=1):
+    for t, (out, eps) in enumerate(booked, start=1):
         metrics.steps.append((t, metrics.episode, out.reward, eps))
         metrics.passed += out.cars_passed_this_step
         episode_reward += out.reward
         if out.terminal:
             if out.reward < 0:
-                metrics.collided += state.collided_count
+                metrics.collided += out.cars_collided_this_step
             window.append(episode_reward)
             metrics.episode_rewards.append(episode_reward)
             episode_reward = 0.0
@@ -357,15 +352,14 @@ def naive_train_tabular(config: EnvConfig, hp, seed: int):
         else:
             a = int(np.argmax(table.get(s, zeros)))
         out = env.step(a)
-        state = env.state
-        s_next = encode_tabular(state)
+        s_next = encode_tabular(env.state)
         collision = out.terminal and out.reward < 0
         if s not in table:
             table[s] = np.zeros(3)
         q = table[s]
         bootstrap = 0.0 if collision else hp.gamma * float(np.max(table.get(s_next, zeros)))
         q[a] += hp.alpha * (out.reward + bootstrap - q[a])
-        booked.append((out, hp.epsilon, state))
+        booked.append((out, hp.epsilon))
         if out.terminal:
             env.reset(int(episode_rng.integers(0, 2**63)))
             s = encode_tabular(env.state)
@@ -398,10 +392,9 @@ def naive_dqn_rollout(config: EnvConfig, hp, seed: int, steps: int):
         else:
             a = int(net.forward(params, vec).argmax())
         out = env.step(a)
-        state = env.state
-        next_vec = encode_dqn(state)
+        next_vec = encode_dqn(env.state)
         stored.append((vec, a, out.reward, next_vec, out.terminal and out.reward < 0))
-        booked.append((out, eps, state))
+        booked.append((out, eps))
         if out.terminal:
             env.reset(int(episode_rng.integers(0, 2**63)))
             vec = encode_dqn(env.state)

@@ -198,7 +198,7 @@ def test_criterion_7_encoder_fidelity():
         grid = (rng.random((8, 5)) < rng.uniform(0.1, 0.7)).astype(np.uint8)
         ego = int(rng.integers(0, 5))
         state = EnvState(
-            grid=grid, ego_lane=ego, step_count=0, passed_count=0, collided_count=0
+            grid=grid, ego_lane=ego, step_count=0
         )
         back_grid, back_ego = decode_dqn(encode_dqn(state), config)
         roundtrips += int(np.array_equal(back_grid, grid) and back_ego == ego)

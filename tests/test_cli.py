@@ -305,8 +305,11 @@ def test_arch_and_hidden_are_exclusive(tmp_path, capsys):
 
 
 def test_bad_hidden_list_is_usage_error(capsys):
-    code = run(["train-dqn", "--hidden", "16,,16", "--steps", "10"])
-    assert code == 2
+    # an empty or blank part is refused by int() itself, with the list named
+    for text in ("16,,16", "16,", ",16", " "):
+        code = run(["train-dqn", "--hidden", text, "--steps", "10"])
+        assert code == 2
+        assert f"bad hidden layer list {text!r}" in capsys.readouterr().err
 
 
 def test_invalid_config_value_is_usage_error(tmp_path, capsys):

@@ -19,13 +19,7 @@ from helpers import (
 
 
 def _state(grid, ego):
-    return EnvState(
-        grid=np.asarray(grid, dtype=np.uint8),
-        ego_lane=ego,
-        step_count=0,
-        passed_count=0,
-        collided_count=0,
-    )
+    return EnvState(grid=np.asarray(grid, dtype=np.uint8), ego_lane=ego, step_count=0)
 
 
 def _env_at(grid, ego):
@@ -101,7 +95,7 @@ def test_tabular_state_is_a_tuple_of_python_ints(ego):
 
 def _raw_state(grid, ego):
     # the grid as given, no cast
-    return EnvState(grid=grid, ego_lane=ego, step_count=0, passed_count=0, collided_count=0)
+    return EnvState(grid=grid, ego_lane=ego, step_count=0)
 
 
 # everything that reads a snapshot's cells and ego lane

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from deepcars import dqn, kernels, net, tabular
-from deepcars.encoders import dqn_state_size
+from deepcars.encoders import dqn_state_size, encode_dqn, encode_tabular
 from deepcars.env import (
     Action,
     ConfigError,
     DeepCarsEnv,
     EnvConfig,
+    EnvState,
     Episodes,
     TerminalStateError,
     evaluate,
@@ -32,7 +33,8 @@ from helpers import (
 
 def test_reset_defaults():
     # reset starts an episode and returns nothing; env.state is the snapshot:
-    # an empty grid, the ego in the middle lane and zero counters
+    # an empty grid, the ego in the middle lane and step count zero, so the
+    # first step resolves no car
     rng = np.random.default_rng(3)
     for lanes, middle in ((2, 1), (3, 1), (5, 2)):
         env = DeepCarsEnv(EnvConfig(lanes=lanes, rows=8, occupancy_prob=0.9))
@@ -45,7 +47,8 @@ def test_reset_defaults():
         assert state.grid.shape == (8, lanes)
         assert state.grid.sum() == 0
         assert state.step_count == 0
-        assert state.passed_count == 0 and state.collided_count == 0
+        out = env.step(Action.STAY)
+        assert (out.cars_passed_this_step, out.cars_collided_this_step) == (0, 0)
 
 
 def test_reset_three_lanes_starts_middle():
@@ -86,6 +89,14 @@ def test_set_state_refuses_non_binary_cells(cell):
     assert env.state.grid.sum() == 0
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3), (9,)], ids=str)
+def test_set_state_refuses_a_grid_of_another_shape(shape):
+    env = DeepCarsEnv(EnvConfig(lanes=3, rows=3))
+    with pytest.raises(ConfigError, match="grid"):
+        env.set_state(grid=np.ones(shape, np.uint8), ego_lane=0)
+    assert env.state.grid.sum() == 0 and env.state.ego_lane == 1  # neither half applied
+
+
 @pytest.mark.parametrize("lane", [1.7, True, "1", np.int64(1)], ids=repr)
 def test_set_state_ego_lane_must_be_an_integer(lane):
     # 1.7 and True once became lane 1, and "1" escaped as a bare TypeError
@@ -122,6 +133,37 @@ def test_grid_is_a_read_only_snapshot():
     assert np.array_equal(grid, before.grid)  # the grid taken before the step is unchanged
 
 
+def test_snapshot_is_a_value():
+    env = DeepCarsEnv(EnvConfig(max_episode_steps=1000))
+    env.reset(5)
+    for _ in range(6):
+        env.step(Action.STAY)
+    state = env.state
+    assert state == env.state and hash(state) == hash(env.state)
+    # a different world: another ego lane, another step, or the same bytes in another shape
+    env.step(Action.STAY)
+    assert env.state != state
+    assert EnvState(state.grid, 0, 6) != state
+    assert EnvState(np.zeros((2, 6)), 0, 0) != EnvState(np.zeros((3, 4)), 0, 0)
+    # the snapshot owns its cells: its source array can change under it
+    source = np.zeros((8, 5), np.uint8)
+    source[3, 1] = 1
+    snap = EnvState(source, 2, 0)
+    cells, tab, vec = snap.cells, encode_tabular(snap), encode_dqn(snap)
+    source[7, 2] = source[0, 0] = 1
+    assert snap.cells == cells == bytes(16) + b"\x01" + bytes(23)  # the car at row 3, lane 1
+    assert encode_tabular(snap) == tab == (2, 8, 4, 8, 8, 8)
+    assert encode_dqn(snap).tobytes() == vec.tobytes()
+    assert snap == EnvState(np.frombuffer(cells, np.uint8).reshape(8, 5), 2, 0)
+    with pytest.raises(ValueError):
+        state.grid[0, 0] = 1
+    with pytest.raises(ValueError):
+        state.grid.setflags(write=True)
+    for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert twin == state and hash(twin) == hash(state)
+        assert twin.grid.tobytes() == twin.cells and not twin.grid.flags.writeable
+
+
 def test_ego_lane_cannot_be_assigned():
     env = DeepCarsEnv(EnvConfig())
     with pytest.raises(AttributeError):
@@ -150,7 +192,7 @@ def test_advance_matches_bruteforce_on_random_grids():
     ids=["deepcopy", "pickle"],
 )
 def test_copied_env_continues_bit_identically(duplicate):
-    # a saved env must resume exactly: grid, ego, counters and spawn stream
+    # a saved env must resume exactly: grid, ego, step count and spawn stream
     env = DeepCarsEnv(EnvConfig(max_episode_steps=1000))
     env.reset(31)
     rng = np.random.default_rng(4)
@@ -164,13 +206,8 @@ def test_copied_env_continues_bit_identically(duplicate):
     for k in range(50):
         action = act(env.state)
         a, b = env.step(action), twin.step(action)
-        for out, copied in ((a, b), (env.state, twin.state)):
-            for key, value in vars(out).items():
-                if key == "grid":
-                    assert value.tobytes() == copied.grid.tobytes()
-                else:
-                    assert value == getattr(copied, key), key
-        assert env.total_spawned == twin.total_spawned
+        assert vars(a) == vars(b)
+        assert env.state == twin.state  # the spawned rows too
         if a.terminal:
             env.reset(k)
             twin.reset(k)
@@ -197,12 +234,19 @@ def test_step_no_cars_near_ego_is_safe():
     assert not out.terminal
 
 
+def _naive_counts(state, action):
+    """(passed, collided) of one step from `state`, by the brute-force reference."""
+    return naive_step(state.grid, state.ego_lane, action)[2:]
+
+
 def test_step_car_entering_ego_cell_collides():
     env = _scripted_env(".....\n.....\n.....\n.....\n.....\n.....\n..#..\n..E..")
+    before = env.state
     out = env.step(Action.STAY)
     assert out.reward == -1.0
     assert out.terminal
-    assert env.state.collided_count == 1
+    assert (out.cars_passed_this_step, out.cars_collided_this_step) == (
+        _naive_counts(before, Action.STAY)) == (0, 1)
 
 
 def test_step_dodge_right_matches_bruteforce():
@@ -221,18 +265,20 @@ def test_step_dodge_right_matches_bruteforce():
 def test_step_sliding_into_leaving_car_collides():
     # car beside the ego on the ego row; moving onto it is a side collision
     env = _scripted_env(".....\n.....\n.....\n.....\n.....\n.....\n.....\n.#E..")
+    before = env.state
     out = env.step(Action.LEFT)
     assert out.reward == -1.0 and out.terminal
-    assert env.state.collided_count == 1
-    assert out.cars_passed_this_step == 0
+    assert (out.cars_passed_this_step, out.cars_collided_this_step) == (
+        _naive_counts(before, Action.LEFT)) == (0, 1)
 
 
 def test_step_passing_car_counts():
     env = _scripted_env(".....\n.....\n.....\n.....\n.....\n.....\n.....\n#.E..")
+    before = env.state
     out = env.step(Action.STAY)
     assert out.reward == 1.0
-    assert out.cars_passed_this_step == 1
-    assert env.state.passed_count == 1
+    assert (out.cars_passed_this_step, out.cars_collided_this_step) == (
+        _naive_counts(before, Action.STAY)) == (1, 0)
 
 
 def test_random_one_step_against_bruteforce():
@@ -253,7 +299,7 @@ def test_random_one_step_against_bruteforce():
         assert out.cars_passed_this_step == exp_passed
         assert out.terminal == (exp_collided > 0)
         assert (out.reward == -1.0) == (exp_collided > 0)
-        assert env.state.collided_count == exp_collided
+        assert out.cars_collided_this_step == exp_collided
 
 
 def test_clamping_left_at_lane_zero_equals_stay():
@@ -295,21 +341,27 @@ def test_determinism_same_seed_same_outcomes():
 
 
 def test_conservation_every_car_resolves_once():
-    # every spawned car is on the grid or counted exactly once as passed or
-    # collided; the car that crashed into the ego stays visible on the ego cell
+    # every spawned car, counted off the top row right after each spawn step, is
+    # on the grid or counted exactly once by the outcomes as passed or collided;
+    # the car that crashed into the ego stays visible on the ego cell
     config = EnvConfig(max_episode_steps=150)
     env = DeepCarsEnv(config)
     rng = np.random.default_rng(11)
     for episode in range(12):
         env.reset(1000 + episode)
+        spawned = resolved = 0
         while True:
             out = env.step(int(rng.integers(0, 3)))
+            resolved += out.cars_passed_this_step + out.cars_collided_this_step
             state = env.state
+            top = int(state.grid[0].sum())
+            if state.step_count % config.spawn_interval == 0:
+                spawned += top
+            else:
+                assert top == 0  # the old top row moved down and nothing spawned
             on_grid = int(state.grid.sum())
             overlap = int(state.grid[-1, state.ego_lane])
-            assert env.total_spawned == (
-                state.passed_count + state.collided_count + on_grid - overlap
-            )
+            assert spawned == resolved + on_grid - overlap
             if out.terminal:
                 break
 
@@ -324,7 +376,7 @@ def test_timeout_is_terminal_but_not_collision():
     out = env.step(Action.STAY)
     assert out.terminal
     assert out.reward == 1.0
-    assert env.state.collided_count == 0
+    assert out.cars_collided_this_step == 0
 
 
 def test_step_after_terminal_raises():
@@ -343,11 +395,13 @@ def test_reward_dichotomy_over_random_play():
         out = None
         env.reset(episode)
         while out is None or not out.terminal:
-            prev_collided = env.state.collided_count
-            out = env.step(int(rng.integers(0, 3)))
-            collided_now = env.state.collided_count > prev_collided
+            before = env.state
+            action = int(rng.integers(0, 3))
+            out = env.step(action)
+            _, collided = _naive_counts(before, action)
             assert out.reward in (1.0, -1.0)
-            assert (out.reward == -1.0) == collided_now
+            assert (out.reward == -1.0) == (collided > 0)
+            assert out.cars_collided_this_step == collided
 
 
 # ---------------------------------------------------------------------------
@@ -496,23 +550,18 @@ def test_render_car_top_corner():
 
 
 def test_render_collision_overlap_glyph():
-    state = state_from_ascii("...\n...\n.E.")
-    state.grid[2, 1] = 1
+    state = EnvState(np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0]]), ego_lane=1, step_count=0)
     assert render_ascii(state).splitlines()[-1] == ".X."
 
 
 def test_render_roundtrip_random_states():
-    from deepcars.env import EnvState
-
     rng = np.random.default_rng(17)
     for _ in range(200):
         rows = int(rng.integers(2, 9))
         lanes = int(rng.integers(2, 7))
         grid = (rng.random((rows, lanes)) < 0.35).astype(np.uint8)
         ego = int(rng.integers(0, lanes))
-        state = EnvState(
-            grid=grid, ego_lane=ego, step_count=0, passed_count=0, collided_count=0
-        )
+        state = EnvState(grid=grid, ego_lane=ego, step_count=0)
         back_grid, back_ego = parse_ascii(render_ascii(state))
         assert np.array_equal(back_grid, grid)
         assert back_ego == ego
