@@ -18,7 +18,6 @@ import sys
 import dataclasses
 
 from . import dqn, metrics as metrics_mod, net, tabular
-from .encoders import dqn_state_size
 from .env import Action, EnvConfig, Episodes, evaluate, render_ascii
 from .tabular import TabularHyperparams
 
@@ -204,41 +203,19 @@ def cmd_train_dqn(args) -> int:
 
 
 def _load_model(path, config: EnvConfig):
-    """Return the greedy `(act, encode)` pair of the model in `path` (an MLP
-    or a q-table, told apart by the file header), refusing a model whose
-    shape does not fit the world `config` describes."""
+    """The greedy `(act, encode)` pair of the model in `path` (an MLP or a q-table, told
+    apart by the file header) on `config`; its `greedy_policy` refuses a misfit."""
     if not os.path.exists(path):
         raise CliUsageError(f"model file not found: {path}")
     with open(path) as fh:
         first = fh.readline()
     if first.startswith("format "):
-        params, _ = net.load_model(path)
-        expected = dqn_state_size(config)
-        if params.layer_dims[0] != expected:
-            raise CliUsageError(
-                f"model expects input size {params.layer_dims[0]}, "
-                f"environment produces {expected}; adjust --lanes/--rows"
-            )
-        outputs = params.layer_dims[-1]
-        if outputs != len(Action):
-            raise CliUsageError(f"model has {outputs} outputs, one per action needs {len(Action)}")
-        return dqn.greedy_policy(params)
+        return dqn.greedy_policy(net.load_model(path)[0], config)
     try:
         table = tabular.load_qtable(path)
     except ValueError as exc:
         raise CliUsageError(f"unrecognized model file: {exc}") from None
-    for ego, *distances in table:
-        if len(distances) != config.lanes or ego >= config.lanes:
-            raise CliUsageError(
-                f"q-table holds states for {len(distances)} lanes with ego lane {ego}, "
-                f"environment has {config.lanes} lanes; adjust --lanes"
-            )
-        if max(distances) > config.rows:
-            raise CliUsageError(
-                f"q-table holds distance {max(distances)}, "
-                f"environment has {config.rows} rows; adjust --rows"
-            )
-    return tabular.greedy_policy(table)
+    return tabular.greedy_policy(table, config)
 
 
 def cmd_evaluate(args) -> int:

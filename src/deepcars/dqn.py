@@ -10,7 +10,7 @@ import numpy as np
 
 from . import net
 from .encoders import dqn_state_size, encode_dqn
-from .env import EnvConfig, Episodes, check_integer_fields, is_integer, roll_seed
+from .env import Action, EnvConfig, Episodes, check_integer_fields, is_integer, roll_seed
 from .metrics import RunMetrics
 from .net import MlpParams, NumericError
 from .replay import Batch, ReplayBuffer
@@ -98,8 +98,16 @@ def greedy_action(params: MlpParams, state_vec: np.ndarray) -> int:
     return int(net.forward(params, state_vec).argmax())
 
 
-def greedy_policy(params: MlpParams):
-    """The greedy `(act, encode)` pair of an MLP agent."""
+def greedy_policy(params: MlpParams, config: EnvConfig):
+    """The greedy `(act, encode)` pair of an MLP agent on the world `config`; a net
+    whose input is not `encode_dqn`'s width there, or not one output per action, is refused."""
+    inputs, *_, outputs = params.layer_dims
+    expected = dqn_state_size(config)
+    if inputs != expected:
+        raise net.ShapeError(f"model expects input size {inputs}, "
+                             f"environment produces {expected}; adjust --lanes/--rows")
+    if outputs != len(Action):
+        raise net.ShapeError(f"model has {outputs} outputs, one per action needs {len(Action)}")
     return lambda vec: greedy_action(params, vec), encode_dqn
 
 
@@ -107,7 +115,7 @@ def validate(params: MlpParams, config: EnvConfig, episodes: int, seed: int) -> 
     """Greedy rollouts of `episodes` episodes, tallied; parameters untouched."""
     if not is_integer(episodes) or episodes < 1:
         raise ValueError(f"episodes must be an integer >= 1, got {episodes!r}")
-    act, encode = greedy_policy(params)
+    act, encode = greedy_policy(params, config)
     stream = Episodes(config, encode, seed)
     run = RunMetrics()
     while run.episode < episodes:

@@ -264,8 +264,8 @@ class Episodes:
 
 def evaluate(policy, config: EnvConfig, steps: int, seed: int) -> RunMetrics:
     """Greedy rollout of an `(act, encode)` policy for a fixed number of steps."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not is_integer(steps) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     act, encode = policy
     episodes = Episodes(config, encode, seed)
     metrics = RunMetrics()

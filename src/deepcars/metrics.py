@@ -182,16 +182,19 @@ def _parse(path, lineno, kind, text):
     """One cell of a column of type `kind`: int, float, bool or _FLOAT_OR_NA."""
     if kind is _FLOAT_OR_NA and text == "n/a":
         return None
-    integral = kind in (int, bool)
+    if kind is bool:  # write_csv writes a bool as 1 or 0, nothing else
+        if text not in ("0", "1"):
+            raise CsvParseError(f"{path}:{lineno}: bad bool {text!r}")
+        return text == "1"
     try:
-        value = int(text) if integral else float(text)
-        finite = integral or math.isfinite(value)  # no artifact holds nan or inf
+        value = int(text) if kind is int else float(text)
+        finite = kind is int or math.isfinite(value)  # no artifact holds nan or inf
     except ValueError:
         finite = False
     if not finite:
-        what = "integer" if integral else "number"
+        what = "integer" if kind is int else "number"
         raise CsvParseError(f"{path}:{lineno}: bad {what} {text!r}")
-    return bool(value) if kind is bool else value
+    return value
 
 
 def read_csv(out_dir) -> RunMetrics:

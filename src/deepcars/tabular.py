@@ -64,8 +64,16 @@ def select_action(
     return q.index(max(q))
 
 
-def greedy_policy(table: QTable):
-    """The greedy `(act, encode)` pair of a tabular agent."""
+def greedy_policy(table: QTable, config: EnvConfig):
+    """The greedy `(act, encode)` pair of a tabular agent on the world `config`; a
+    table holding a state `encode_tabular` cannot produce there is refused."""
+    for ego, *distances in table:
+        if len(distances) != config.lanes or ego >= config.lanes:
+            raise ValueError(f"q-table holds states for {len(distances)} lanes with ego lane "
+                             f"{ego}, environment has {config.lanes} lanes; adjust --lanes")
+        if max(distances) > config.rows:
+            raise ValueError(f"q-table holds distance {max(distances)}, "
+                             f"environment has {config.rows} rows; adjust --rows")
     # epsilon 0 never draws, so no generator is needed
     return lambda s: select_action(table, s, 0.0, None), encode_tabular
 

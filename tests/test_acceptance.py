@@ -40,7 +40,7 @@ def test_criterion_1_tabular_reproduction():
     table, train_run = train_tabular(
         config, TabularHyperparams(train_steps=50_000), seed=12345
     )
-    eval_run = evaluate(tabular.greedy_policy(table), config, steps=100_000, seed=999)
+    eval_run = evaluate(tabular.greedy_policy(table, config), config, steps=100_000, seed=999)
     elapsed = time.time() - start
     acc = eval_run.accuracy()
     ok = acc is not None and acc >= 95.0 and elapsed < 60.0
@@ -58,7 +58,7 @@ def test_criterion_2_ddqn_desk_scale():
     config = EnvConfig()
     hp = DqnHyperparams(train_steps=150_000, double_q=True, hidden_layers=(16, 16))
     best, final, run = train_dqn(config, hp, seed=7)
-    eval_run = evaluate(greedy_policy(best.params), config, steps=12_000, seed=4242)
+    eval_run = evaluate(greedy_policy(best.params, config), config, steps=12_000, seed=4242)
     elapsed = time.time() - start
     acc = eval_run.accuracy()
     ok = acc is not None and acc >= 99.0 and elapsed < 900.0

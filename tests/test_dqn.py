@@ -204,7 +204,7 @@ def test_validate_matches_reference_loop_past_a_window(world):
     # 130 episodes: the tally closes a 100-episode window inside validate
     config = EnvConfig(**world)
     params = net.init_params([43, 8, 3], 12)
-    act, encode = greedy_policy(params)
+    act, encode = greedy_policy(params, config)
     for seed in (0, 2**40 + 5):
         run = validate(params, config, episodes=130, seed=seed)
         assert run.episode == 130
@@ -300,9 +300,27 @@ def test_rollout_matches_reference_loop(world, seed):
 
 def test_evaluate_counts_steps():
     params = net.init_params([43, 8, 3], 2)
-    run = evaluate(greedy_policy(params), EnvConfig(), steps=300, seed=5)
+    config = EnvConfig()
+    run = evaluate(greedy_policy(params, config), config, steps=300, seed=5)
     assert len(run.steps) == 300
     assert run.passed + run.collided > 0
+
+
+@pytest.mark.parametrize(
+    "dims,message",
+    [
+        ([10, 4, 3], "input size 10"),  # a 10-input net on the default 8x5 world
+        ([43, 4, 2], "2 outputs"),  # a net that can never steer right
+    ],
+    ids=["mlp-width", "mlp-outputs"],
+)
+def test_greedy_policy_refuses_a_net_its_world_cannot_feed(dims, message):
+    # both once played without a word when called from the library
+    params = net.init_params(dims, 0)
+    with pytest.raises(net.ShapeError, match=message):
+        greedy_policy(params, EnvConfig())
+    with pytest.raises(net.ShapeError, match=message):
+        validate(params, EnvConfig(), episodes=1, seed=0)
 
 
 def test_hyperparam_validation():

@@ -474,6 +474,16 @@ def test_spawn_row_matches_reference_and_draw_count():
                         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("steps", [2.5, True, 0], ids=repr)
+def test_evaluate_refuses_a_step_count_that_is_not_a_positive_integer(steps):
+    # True once played one step, and 2.5 failed inside range with a TypeError
+    config = EnvConfig(lanes=3)
+    policy = tabular.greedy_policy({}, config)
+    with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+        evaluate(policy, config, steps, seed=0)
+    assert len(evaluate(policy, config, np.int64(3), seed=0).steps) == 3
+
+
 @pytest.mark.parametrize(
     "world",
     [{}, {"occupancy_prob": 0.0}, {"max_episode_steps": 3}],
@@ -485,7 +495,8 @@ def test_greedy_rollouts_match_reference_loops(world):
     config = EnvConfig(**world)
     table, _ = tabular.train_tabular(config, tabular.TabularHyperparams(train_steps=3_000), 1)
     params = net.init_params([dqn_state_size(config), 8, 3], 4)
-    agents = {"tabular": tabular.greedy_policy(table), "mlp": dqn.greedy_policy(params)}
+    agents = {"tabular": tabular.greedy_policy(table, config),
+              "mlp": dqn.greedy_policy(params, config)}
     # the oracles act on raw states
     plays = {
         name: (lambda state, act=act, encode=encode: act(encode(state)))

@@ -117,6 +117,17 @@ def test_wrong_column_count_names_line(tmp_path):
         read_csv(tmp_path)
 
 
+@pytest.mark.parametrize("cell", ["2", "-1"])
+def test_bool_cell_other_than_0_or_1_names_line(tmp_path, cell):
+    # write_csv writes a bool as 1 or 0; any other integer once read back as True
+    write_csv(_sample_metrics(), tmp_path)
+    path = tmp_path / "validation.csv"
+    path.write_text("step,mean_reward,accuracy,is_new_best\n"
+                    f"50,198.5,97.25,1\n100,150.0,99.0,{cell}\n")
+    with pytest.raises(CsvParseError, match=rf"validation\.csv:3: bad bool '{cell}'"):
+        read_csv(tmp_path)
+
+
 def test_non_monotone_steps_rejected(tmp_path):
     write_csv(_sample_metrics(), tmp_path)
     path = tmp_path / "steps.csv"

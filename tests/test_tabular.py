@@ -162,14 +162,36 @@ def test_trained_table_beats_empty_table():
     config = EnvConfig(lanes=3)
     hp = TabularHyperparams(train_steps=20_000)
     table, _ = train_tabular(config, hp, seed=7)
-    trained = evaluate(greedy_policy(table), config, steps=5_000, seed=100)
-    blank = evaluate(greedy_policy({}), config, steps=5_000, seed=100)
+    trained = evaluate(greedy_policy(table, config), config, steps=5_000, seed=100)
+    blank = evaluate(greedy_policy({}, config), config, steps=5_000, seed=100)
     assert trained.accuracy() > blank.accuracy()
+
+
+@pytest.mark.parametrize(
+    "state,world,message",
+    [
+        ((0, 1, 3, 8), {}, "for 3 lanes"),  # a 3-lane q-table on 5 lanes
+        ((4, 3, 8, 8), {"lanes": 3}, "ego lane 4"),  # a 3-lane state whose ego sits in lane 4
+        ((0, 8, 2, 8, 8, 1), {"rows": 5}, "distance 8"),  # an 8-row q-table on 5 rows
+    ],
+    ids=["qtable-lanes", "qtable-ego", "qtable-rows"],
+)
+def test_greedy_policy_refuses_a_state_its_world_cannot_produce(state, world, message):
+    # every lookup of such a table misses, so it once played on as an empty table
+    with pytest.raises(ValueError, match=message):
+        greedy_policy({state: [0.5, 0.0, -0.5]}, EnvConfig(**world))
+
+
+def test_greedy_policy_takes_the_edge_states_of_its_world():
+    # the last lane, a car beside the ego (0) and a lane with no visible car (rows)
+    table = {(4, 0, 8, 8, 8, 8): [0.5, 0.0, -0.5], (0, 8, 8, 8, 8, 0): [0.0, 0.0, 1.0]}
+    act, _ = greedy_policy(table, EnvConfig())
+    assert act((4, 0, 8, 8, 8, 8)) == 0 and act((0, 8, 8, 8, 8, 0)) == 2
 
 
 def test_evaluate_empty_environment_vacuous():
     config = EnvConfig(lanes=3, occupancy_prob=0.0)
-    run = evaluate(greedy_policy({}), config, steps=500, seed=0)
+    run = evaluate(greedy_policy({}, config), config, steps=500, seed=0)
     assert run.collided == 0
     assert run.accuracy() is None  # no cars resolved: vacuously perfect
 
