@@ -5,18 +5,45 @@ best-model checkpointing."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import net
-from .encoders import dqn_state_size, encode_dqn
-from .env import Action, EnvConfig, Episodes, check_integer_fields, is_integer, roll_seed
+from .env import (
+    Action, DeepCarsEnv, EnvConfig, EnvState, Episodes, check_integer_fields, is_integer,
+    roll_seed,
+)
 from .metrics import RunMetrics
 from .net import MlpParams, NumericError
 from .replay import Batch, ReplayBuffer
 
 # validation episodes draw from a stream disjoint from training seeds
 VALIDATION_SEED_XOR = 0x9E3779B97F4A7C15
+
+
+def lane_bit_width(lanes: int) -> int:
+    """Bits needed for a big-endian binary lane id: ceil(log2(lanes))."""
+    return (lanes - 1).bit_length()
+
+
+@lru_cache(maxsize=None)
+def _lane_bits(lanes: int) -> tuple[bytes, ...]:
+    """Per lane, its big-endian binary id as one 0/1 byte per bit."""
+    width = lane_bit_width(lanes)
+    return tuple(bytes(map(int, format(lane, f"0{width}b"))) for lane in range(lanes))
+
+
+def dqn_state_size(config: EnvConfig) -> int:
+    return config.rows * config.lanes + lane_bit_width(config.lanes)
+
+
+def encode_dqn(state: DeepCarsEnv | EnvState) -> np.ndarray:
+    """Row-major flattened grid followed by the big-endian binary ego lane id, read
+    from the `cells`, `lanes` and `ego_lane` of a live env or a snapshot."""
+    cells = state.cells
+    bits = _lane_bits(state.lanes)[state.ego_lane]
+    return np.frombuffer(cells + bits, np.uint8).astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,10 @@ class DeepCarsEnv:
     def step(self, action: int) -> StepOutcome:
         if self._terminal:
             raise TerminalStateError("episode already ended; call reset()")
-        action = int(action)
+        if type(action) is not int:  # a plain int, the hot case, needs no conversion
+            if not is_integer(action):
+                raise ValueError(f"invalid action {action!r}")
+            action = int(action)
         if action not in (0, 1, 2):
             raise ValueError(f"invalid action {action}")
 

@@ -178,23 +178,38 @@ def _read_rows(path, header=None):
     return rows
 
 
-def _parse(path, lineno, kind, text):
-    """One cell of a column of type `kind`: int, float, bool or _FLOAT_OR_NA."""
-    if kind is _FLOAT_OR_NA and text == "n/a":
-        return None
-    if kind is bool:  # write_csv writes a bool as 1 or 0, nothing else
-        if text not in ("0", "1"):
-            raise CsvParseError(f"{path}:{lineno}: bad bool {text!r}")
-        return text == "1"
+# Reader of each column type: a cell's text in, its value out. `_parse` keeps the
+# values only if the column's writer gives back the same text.
+_READERS = {
+    int: int,
+    float: float,
+    bool: lambda text: bool(int(text)),
+    _FLOAT_OR_NA: lambda text: None if text == "n/a" else float(text),
+}
+
+
+def _parse(path, rows, k, kind, exact=True):
+    """Column `k` of `rows` ((lineno, cells) pairs) as values of type `kind`: int,
+    float, bool or _FLOAT_OR_NA. Each cell must be the text `_WRITERS[kind]` writes
+    for its value, so `1_0` and ` 1` (int), `1` and `+0.5` (float) and `2` (bool)
+    are refused, and so are nan and inf, which no writer takes; `exact=False`
+    takes any text of a writable value."""
+    read, write = _READERS[kind], _WRITERS[kind]
+    texts = [cells[k] for _, cells in rows]
     try:
-        value = int(text) if kind is int else float(text)
-        finite = kind is int or math.isfinite(value)  # no artifact holds nan or inf
+        values = list(map(read, texts))
+        if list(write(values)) == texts or not exact:
+            return values
     except ValueError:
-        finite = False
-    if not finite:
-        what = "integer" if kind is int else "number"
-        raise CsvParseError(f"{path}:{lineno}: bad {what} {text!r}")
-    return value
+        pass
+    for (lineno, _), text in zip(rows, texts):  # name the first bad cell
+        try:
+            good = next(write([read(text)])) == text or not exact
+        except ValueError:
+            good = False
+        if not good:
+            what = {int: "integer", bool: "bool"}.get(kind, "number")
+            raise CsvParseError(f"{path}:{lineno}: bad {what} {text!r}")
 
 
 def read_csv(out_dir) -> RunMetrics:
@@ -203,10 +218,8 @@ def read_csv(out_dir) -> RunMetrics:
     metrics = RunMetrics()
     for name, attr, columns in _FAMILIES:
         path = os.path.join(out_dir, name)
-        records = [
-            tuple(_parse(path, lineno, kind, cell) for (_, kind), cell in zip(columns, cells))
-            for lineno, cells in _read_rows(path, [column for column, _ in columns])
-        ]
+        rows = _read_rows(path, [column for column, _ in columns])
+        records = list(zip(*(_parse(path, rows, k, kind) for k, (_, kind) in enumerate(columns))))
         if attr is None:
             if len(records) != 1:
                 raise CsvParseError(f"{path}: expected exactly one summary row")
@@ -226,11 +239,8 @@ def read_series(path):
         raise CsvParseError(f"{path}: no data rows")
     if len(rows[0][1]) < 2:
         raise CsvParseError(f"{path}:1: need at least two columns")
-    xs, ys = [], []
-    for lineno, cells in rows:
-        xs.append(_parse(path, lineno, float, cells[0]))
-        ys.append(_parse(path, lineno, float, cells[1]))
-    return xs, ys
+    # a plot takes any CSV, so its cells need only read as finite numbers
+    return _parse(path, rows, 0, float, exact=False), _parse(path, rows, 1, float, exact=False)
 
 
 # ---------------------------------------------------------------------------

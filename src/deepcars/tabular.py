@@ -7,15 +7,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import TabularState, encode_tabular
-from .env import EnvConfig, Episodes, check_integer_fields
+from .env import DeepCarsEnv, EnvConfig, EnvState, Episodes, check_integer_fields
 from .metrics import RunMetrics, write_lines
 from .net import NumericError
 
+# the tabular state, (ego_lane, d_0, ..., d_{lanes-1}): the row a q-table file stores
+TabularState = tuple[int, ...]
 # a q-table maps each visited state to its three action values; a state it
 # has never seen reads _ZERO_Q and is not inserted
 QTable = dict[TabularState, list[float]]
 _ZERO_Q = (0.0, 0.0, 0.0)
+
+
+def encode_tabular(state: DeepCarsEnv | EnvState) -> TabularState:
+    """Ego lane, then per lane the rows between the ego row and the closest car
+    at or ahead of it (0 = a car beside the ego); a lane with no visible car
+    reads `rows`. Reads the `cells`, `lanes` and `ego_lane` of a live env or a
+    snapshot."""
+    cells = state.cells
+    lanes = state.lanes
+    last_row = len(cells) // lanes - 1
+    # rfind gives the row of a lane's nearest car, or -1 for none, which reads `rows`
+    return (int(state.ego_lane), *[last_row - cells[lane::lanes].rfind(1) for lane in range(lanes)])
 
 
 @dataclass(frozen=True)
@@ -104,11 +117,12 @@ def train_tabular(
 # persistence: one line per state, "<ints> | <q0> <q1> <q2>"
 
 
+def _qtable_line(state, qs) -> str:
+    return " ".join(map(str, state)) + " | " + " ".join(repr(float(q)) for q in qs)
+
+
 def save_qtable(table: QTable, path) -> None:
-    write_lines(path, (
-        " ".join(map(str, state)) + " | " + " ".join(repr(float(q)) for q in table[state])
-        for state in sorted(table)
-    ))
+    write_lines(path, (_qtable_line(state, table[state]) for state in sorted(table)))
 
 
 def load_qtable(path) -> QTable:
@@ -130,6 +144,8 @@ def load_qtable(path) -> QTable:
                 raise ValueError(
                     f"{path}:{lineno}: expected ego+distances and 3 Q-values"
                 )
+            if _qtable_line(ints, qs) != line:  # "0_1" or "+0.5": text save_qtable never writes
+                raise ValueError(f"{path}:{lineno}: malformed record")
             if min(ints) < 0:
                 raise ValueError(f"{path}:{lineno}: negative lane or distance")
             if not all(map(math.isfinite, qs)):

@@ -333,8 +333,8 @@ def naive_ledger(booked):
 def naive_train_tabular(config: EnvConfig, hp, seed: int):
     """Reference for tabular.train_tabular with its own epsilon-greedy choice
     and Q-update over numpy arrays; returns ({state: q-values}, metrics)."""
-    from deepcars.encoders import encode_tabular
     from deepcars.env import DeepCarsEnv
+    from deepcars.tabular import encode_tabular
 
     seq = np.random.SeedSequence(seed).spawn(2)
     action_rng = np.random.default_rng(seq[0])
@@ -371,8 +371,7 @@ def naive_train_tabular(config: EnvConfig, hp, seed: int):
 def naive_dqn_rollout(config: EnvConfig, hp, seed: int, steps: int):
     """Reference for `steps` DqnTrainer.train_step calls that never learn
     (learn_start > steps): returns (stored transitions, metrics)."""
-    from deepcars.dqn import epsilon_at
-    from deepcars.encoders import dqn_state_size, encode_dqn
+    from deepcars.dqn import dqn_state_size, encode_dqn, epsilon_at
     from deepcars.env import DeepCarsEnv
 
     seq = np.random.SeedSequence(seed).spawn(4)

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from deepcars import net, tabular
-from deepcars.dqn import DqnHyperparams, greedy_policy, td_targets, train_dqn
-from deepcars.encoders import encode_dqn, encode_tabular
+from deepcars.dqn import DqnHyperparams, encode_dqn, greedy_policy, td_targets, train_dqn
 from deepcars.env import EnvConfig, evaluate
 from deepcars.metrics import write_csv
 from deepcars.replay import Batch, ReplayBuffer
-from deepcars.tabular import TabularHyperparams, train_tabular
+from deepcars.tabular import TabularHyperparams, encode_tabular, train_tabular
 
 from helpers import (
     decode_dqn,

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from deepcars.encoders import (
-    dqn_state_size,
-    encode_dqn,
-    encode_tabular,
-    lane_bit_width,
-)
+from deepcars.dqn import dqn_state_size, encode_dqn, lane_bit_width
 from deepcars.env import ConfigError, DeepCarsEnv, EnvConfig, EnvState, render_ascii
+from deepcars.tabular import encode_tabular
 
 from helpers import (
     decode_dqn,

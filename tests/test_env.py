@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deepcars import dqn, kernels, net, tabular
-from deepcars.encoders import dqn_state_size, encode_dqn, encode_tabular
+from deepcars.dqn import dqn_state_size, encode_dqn
 from deepcars.env import (
     Action,
     ConfigError,
@@ -18,6 +18,7 @@ from deepcars.env import (
     render_ascii,
     spawn_row,
 )
+from deepcars.tabular import encode_tabular
 
 from helpers import (
     naive_evaluate,
@@ -386,6 +387,25 @@ def test_step_after_terminal_raises():
     env.step(Action.STAY)
     with pytest.raises(TerminalStateError):
         env.step(Action.STAY)
+
+
+@pytest.mark.parametrize("action", [1.7, 2.9, -0.5, 1.0, "1", True, 3, -1], ids=repr)
+def test_step_refuses_an_action_that_is_not_an_integer_of_0_to_2(action):
+    # int() once truncated the floats and read "1" and True as STAY, without a word
+    env = DeepCarsEnv(EnvConfig(lanes=3))
+    env.reset(5)
+    before = env.state
+    with pytest.raises(ValueError, match="invalid action"):
+        env.step(action)
+    assert env.state == before  # same cells, ego lane and step count
+
+
+@pytest.mark.parametrize("action", [np.int64(2), Action.RIGHT, 2], ids=repr)
+def test_step_plays_an_integer_action_of_any_integer_type(action):
+    env = DeepCarsEnv(EnvConfig(lanes=3, occupancy_prob=0.0))
+    env.reset(5)
+    env.step(action)
+    assert env.state.ego_lane == 2 and type(env.state.ego_lane) is int
 
 
 def test_reward_dichotomy_over_random_play():

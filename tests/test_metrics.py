@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from deepcars.metrics import (
     accuracy,
     plot_svg,
     read_csv,
+    read_series,
     write_csv,
     write_lines,
 )
@@ -126,6 +128,23 @@ def test_bool_cell_other_than_0_or_1_names_line(tmp_path, cell):
                     f"50,198.5,97.25,1\n100,150.0,99.0,{cell}\n")
     with pytest.raises(CsvParseError, match=rf"validation\.csv:3: bad bool '{cell}'"):
         read_csv(tmp_path)
+
+
+@pytest.mark.parametrize("row, what, cell", [
+    ("1_0,0,1.0,0.5", "integer", "1_0"),
+    ("10, 0,1.0,0.5", "integer", " 0"),
+    ("10,0,1,0.5", "number", "1"),
+    ("10,0,1.0,+0.5", "number", "+0.5"),
+])
+def test_cell_other_than_its_written_text_names_line(tmp_path, row, what, cell):
+    # int() and float() read each of these cells, though write_csv never writes them
+    write_csv(_sample_metrics(), tmp_path)
+    path = tmp_path / "steps.csv"
+    path.write_text(f"step,episode,reward,epsilon\n5,0,1.0,0.5\n{row}\n")
+    with pytest.raises(CsvParseError, match=re.escape(f"steps.csv:3: bad {what} '{cell}'")):
+        read_csv(tmp_path)
+    # a plot takes any CSV: its columns need only read as finite numbers
+    assert read_series(path) == ([5.0, 10.0], [0.0, 0.0])
 
 
 def test_non_monotone_steps_rejected(tmp_path):

@@ -228,8 +228,12 @@ def test_saved_rows_are_the_keys_joined_in_sorted_order(tmp_path):
         ("1 2 3 6 | 0.0 -inf 0.0", "non-finite"),
         ("1 2 3 4 | 0.0 0.0 0.0", "repeated state"),
         ("1 -1 3 4 | 0.0 0.0 0.0", "negative"),
+        ("1 0_1 3 3 | 0.5 0.0 -0.5", "malformed record"),
+        ("1 0 3 3 | 1 0.0 -0.5", "malformed record"),
+        ("1 0 3 3 | +0.5 0.0 -0.5", "malformed record"),
     ],
-    ids=["no-separator", "nan", "inf", "repeated", "negative-distance"],
+    ids=["no-separator", "nan", "inf", "repeated", "negative-distance",
+         "underscore-in-state", "int-q-value", "plus-q-value"],
 )
 def test_qtable_parse_error_names_line(tmp_path, line, message):
     path = tmp_path / "qtable.txt"
