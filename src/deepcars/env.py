@@ -8,6 +8,8 @@ collision-free driving line always exists.
 
 Grid orientation: row 0 is the farthest visible row, row rows-1 is the ego
 row. The grid stores traffic only; the ego is tracked by its lane index.
+Traffic never depends on the ego, so the env writes each spawned row once on
+a time-descending tape, and the grid is a window moving up it one row a step.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ import numpy as np
 
 from . import kernels
 from .metrics import RunMetrics
+
+TAPE_ROWS = 256  # steps between two moves of the window back to the tape's end
+CHUNK = 64  # spawns drawn by one generator call
 
 
 class Action(IntEnum):
@@ -122,8 +127,10 @@ class StepOutcome:
     cars_collided_this_step: int  # > 0 exactly on collision, which ends the episode
 
 
-def spawn_row(rng, config: EnvConfig, anchor_lane: int):
-    """Sample one traffic row and repair it so the safe corridor survives.
+def spawn_row(occupied, config: EnvConfig, anchor_lane: int):
+    """Repair one sampled traffic row so the safe corridor survives.
+
+    `occupied` is the row's `lanes` sampled flags (uniform < occupancy_prob).
 
     `anchor_lane` is the free lane of the previous spawn that a driver dodging
     every row is guaranteed to be able to occupy. Between two consecutive row
@@ -137,14 +144,12 @@ def spawn_row(rng, config: EnvConfig, anchor_lane: int):
     Returns (row, new_anchor): the row is `lanes` bytes of 0/1, and new_anchor
     is the free lane nearest the old anchor, ties toward the lower index.
     """
-    cells = (rng.random(config.lanes) < config.occupancy_prob).tolist()
     # lanes in order of distance from the anchor, the lower index first on ties
     for d in range(config.spawn_interval):
         for lane in (anchor_lane - d, anchor_lane + d):
-            if 0 <= lane < config.lanes and not cells[lane]:
-                return bytes(cells), lane
-    cells[anchor_lane] = False
-    return bytes(cells), anchor_lane
+            if 0 <= lane < config.lanes and not occupied[lane]:
+                return bytes(occupied), lane
+    return bytes(o and lane != anchor_lane for lane, o in enumerate(occupied)), anchor_lane
 
 
 class DeepCarsEnv:
@@ -156,6 +161,7 @@ class DeepCarsEnv:
         self.lanes = config.lanes
         self._interval = config.spawn_interval
         self._max_steps = config.max_episode_steps
+        self._size = config.rows * config.lanes
         self._start(config.seed)
 
     def reset(self, seed: int | None = None) -> None:
@@ -165,8 +171,11 @@ class DeepCarsEnv:
     def _start(self, seed: int) -> None:
         # __init__ calls this, not reset, so each reset call is one episode start
         self._rng = np.random.default_rng(seed)
-        # row-major grid cells; no ndarray view of it is kept, so deepcopy and pickle stay whole
-        self._cells = bytearray(self.config.rows * self.config.lanes)
+        self._flags = []  # the sampled rows of the next spawns, the next one last
+        # the grid is tape[top : top + size], row-major; every row above it is empty.
+        # No ndarray view of the tape is kept, so deepcopy and pickle stay whole
+        self._tape = bytearray((TAPE_ROWS + self.config.rows) * self.lanes)
+        self._top = TAPE_ROWS * self.lanes
         self._ego = self.config.lanes // 2
         self._steps = 0
         self._terminal = False
@@ -175,7 +184,7 @@ class DeepCarsEnv:
     @property
     def cells(self) -> bytes:
         """Row-major copy of the traffic, one 0/1 byte per cell; later steps leave it as it is."""
-        return bytes(self._cells)
+        return bytes(self._tape[self._top : self._top + self._size])
 
     @property
     def grid(self) -> np.ndarray:
@@ -203,7 +212,7 @@ class DeepCarsEnv:
         shape = (self.config.rows, self.lanes)
         if state.grid.shape != shape:
             raise ConfigError(f"grid shape {state.grid.shape} does not match {shape}")
-        self._cells[:] = state.cells
+        self._tape[self._top : self._top + self._size] = state.cells
         self._ego = state.ego_lane
 
     def step(self, action: int) -> StepOutcome:
@@ -220,12 +229,20 @@ class DeepCarsEnv:
         lanes = self.lanes
         self._ego = ego = min(max(self._ego + (action - 1), 0), lanes - 1)
 
-        passed, collided = kernels.advance(self._cells, lanes, ego)
+        tape, top = self._tape, self._top
+        if not top:  # the window reached the tape's start: move it back to the end
+            top = TAPE_ROWS * lanes
+            tape[:] = bytes(top) + tape[: self._size]
+        passed, collided = kernels.advance(tape, top, self._size, lanes, ego)
+        self._top = top = top - lanes
         steps = self._steps = self._steps + 1
 
         if steps % self._interval == 0:
-            row, self._anchor = spawn_row(self._rng, self.config, self._anchor)
-            self._cells[:lanes] = row
+            if not self._flags:  # one call: the same stream as CHUNK calls of random(lanes)
+                draws = self._rng.random((CHUNK, lanes)) < self.config.occupancy_prob
+                self._flags = draws.tolist()[::-1]
+            row, self._anchor = spawn_row(self._flags.pop(), self.config, self._anchor)
+            tape[top : top + lanes] = row
 
         self._terminal = terminal = collided > 0 or steps >= self._max_steps
         return StepOutcome(-1.0 if collided else 1.0, terminal, passed, collided)

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: dense-net passes, the Adam update, grid advance.
+"""Hot numeric kernels: dense-net passes, the Adam update, the step's car count.
 
 There is one backend: every kernel is plain numpy.
 
@@ -66,23 +66,21 @@ def adam_update(theta, grad, m, v, step, lr, beta1, beta2, eps):
     theta -= upd
 
 
-def advance(cells, lanes, ego_lane):
-    """Shift traffic one row toward the ego; returns (passed, collided) car counts.
+def advance(tape, top, size, lanes, ego_lane):
+    """Count the cars one step resolves; returns (passed, collided). No byte moves.
 
-    `cells` is the grid as a row-major bytearray of `lanes`-wide rows; one
-    slice assignment shifts it. Called after the ego's lateral move. A car
-    leaving the grid from the ego's own cell is a collision (the ego slid
-    into it), any other leaving car has been passed, and a car arriving on
-    the ego cell is a collision.
+    The grid is the window `tape[top : top + size]` of `lanes`-wide rows, which
+    the step moves one row up the tape. Called after the ego's lateral move. A
+    car leaving the window's bottom row from the ego's own cell is a collision
+    (the ego slid into it), any other leaving car has been passed, and a car
+    arriving on the ego cell from the row above is a collision.
     """
-    last_row = len(cells) - lanes
-    passed = cells.count(1, last_row)
+    last_row = top + size - lanes
+    passed = tape.count(1, last_row, last_row + lanes)
     collided = 0
-    if cells[last_row + ego_lane]:
+    if tape[last_row + ego_lane]:
         passed -= 1
         collided += 1
-    cells[lanes:] = cells[:last_row]
-    cells[:lanes] = bytes(lanes)
-    if cells[last_row + ego_lane]:
+    if tape[last_row - lanes + ego_lane]:
         collided += 1
     return passed, collided

@@ -28,6 +28,7 @@ class ModelFormatError(ValueError):
 
 
 MODEL_FORMAT_TAG = "deepcars-mlp-v1"
+OPTIMIZERS = ("adam", "sgd")
 
 
 def _theta_size(dims) -> int:
@@ -154,7 +155,7 @@ ADAM_EPS = 1e-8
 def make_optimizer(
     params: MlpParams, algorithm: str = "adam", learning_rate: float = 1e-3
 ) -> OptimizerState:
-    if algorithm not in ("adam", "sgd"):
+    if algorithm not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {algorithm!r}")
     if not 0 < learning_rate < np.inf:  # false for nan too
         raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
@@ -197,19 +198,24 @@ def _blocks(params: MlpParams):
             for kind, view in (("w", params.weight(k)), ("b", params.bias(k)))]
 
 
-def save_model(params: MlpParams, path, optimizer: str = "adam") -> None:
+def _model_lines(params: MlpParams, optimizer: str) -> list[str]:
     """Versioned text format: dims, optimizer tag, then per-layer w/b blocks."""
-    write_lines(path, [
+    return [
         f"format {MODEL_FORMAT_TAG}",
         "dims " + ",".join(map(str, params.layer_dims)),
         f"optimizer {optimizer}",
         *(f"{label} " + " ".join(map(repr, view.ravel().tolist()))
           for label, view in _blocks(params)),
-    ])
+    ]
+
+
+def save_model(params: MlpParams, path, optimizer: str = "adam") -> None:
+    write_lines(path, _model_lines(params, optimizer))
 
 
 def load_model(path) -> tuple[MlpParams, str]:
-    """Inverse of save_model; fails loudly on any other format version."""
+    """Inverse of save_model; refuses any other format version, and any text
+    save_model would not write for the values read, such as "0_3" or "+0.5"."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("format "):
@@ -228,6 +234,8 @@ def load_model(path) -> tuple[MlpParams, str]:
     except ValueError as exc:  # ShapeError included
         raise ModelFormatError(f"{path}: bad dims {dims_text!r}: {exc}") from None
     optimizer = lines[2].split(" ", 1)[1]
+    if optimizer not in OPTIMIZERS:
+        raise ModelFormatError(f"{path}: block 'optimizer': unknown optimizer {optimizer!r}")
     blocks = _blocks(params)
     body = lines[3:]
     if len(body) != len(blocks):
@@ -249,4 +257,7 @@ def load_model(path) -> tuple[MlpParams, str]:
         if not np.isfinite(values).all():
             raise ModelFormatError(f"{path}: block {label!r} holds a non-finite value")
         view[...] = values.reshape(view.shape)
+    for line, text in zip(lines, _model_lines(params, optimizer)):
+        if line != text:
+            raise ModelFormatError(f"{path}: block {line.split()[0]!r} is not as saved")
     return params, optimizer

@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from deepcars.dqn import dqn_state_size, encode_dqn, lane_bit_width
-from deepcars.env import ConfigError, DeepCarsEnv, EnvConfig, EnvState, render_ascii
+from deepcars.env import CHUNK, ConfigError, DeepCarsEnv, EnvConfig, EnvState, render_ascii
 from deepcars.tabular import encode_tabular
 
 from helpers import (
@@ -216,7 +218,8 @@ def _sweep(prob):
 def test_encoders_read_the_live_env_as_its_snapshot(worlds, episodes):
     # right after each reset and after every step of seeded random play, the live
     # env encodes as its snapshot and as a reference world stepped beside it by
-    # naive_step and naive_spawn_row, which draw from their own generator
+    # naive_step and naive_spawn_row, which draw from their own generator one
+    # row per spawn; the env draws CHUNK rows at a time
     rng = np.random.default_rng(8)
     for world in worlds:
         config = EnvConfig(**world)
@@ -226,6 +229,7 @@ def test_encoders_read_the_live_env_as_its_snapshot(worlds, episodes):
             ref = np.random.default_rng(episode)
             grid = np.zeros((config.rows, config.lanes), np.uint8)
             ego = anchor = config.lanes // 2
+            spawns = 0
             for t in range(1, config.max_episode_steps + 2):
                 snapshot = env.state
                 live, want = encode_dqn(env), encode_dqn(snapshot)
@@ -235,8 +239,11 @@ def test_encoders_read_the_live_env_as_its_snapshot(worlds, episodes):
                 tab = encode_tabular(env)
                 assert tab == encode_tabular(snapshot)
                 assert tab == (ego, *naive_tabular_distances(grid))
-                # the env's generator has made exactly the reference's draws
-                assert env._rng.bit_generator.state == ref.bit_generator.state
+                # the env's generator has made exactly the reference's draws, and
+                # the rest of the current chunk's rows
+                ahead = copy.deepcopy(ref)
+                ahead.random((-spawns % CHUNK, config.lanes))
+                assert env._rng.bit_generator.state == ahead.bit_generator.state
                 if env.terminal:
                     break
                 action = int(rng.integers(0, 3))
@@ -245,6 +252,7 @@ def test_encoders_read_the_live_env_as_its_snapshot(worlds, episodes):
                 if t % config.spawn_interval == 0:
                     row, anchor = naive_spawn_row(ref, config, anchor)
                     grid[0] = row
+                    spawns += 1
                 assert (out.cars_passed_this_step, out.cars_collided_this_step) == (
                     passed, collided)
             assert env.terminal

@@ -1,12 +1,17 @@
 import copy
 import pickle
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deepcars import dqn, kernels, net, tabular
 from deepcars.dqn import dqn_state_size, encode_dqn
 from deepcars.env import (
+    CHUNK,
+    TAPE_ROWS,
     Action,
     ConfigError,
     DeepCarsEnv,
@@ -21,9 +26,11 @@ from deepcars.env import (
 from deepcars.tabular import encode_tabular
 
 from helpers import (
+    decode_dqn,
     naive_evaluate,
     naive_spawn_row,
     naive_step,
+    naive_tabular_distances,
     naive_validate,
     parse_ascii,
     run_lookahead,
@@ -175,15 +182,22 @@ def test_ego_lane_cannot_be_assigned():
 
 
 def test_advance_matches_bruteforce_on_random_grids():
+    # the grid is a window of a tape: empty rows above it, stale rows below it;
+    # advance counts and moves no byte, and the window one row up is the next grid
     rng = np.random.default_rng(17)
     for rows in range(2, 10):
         for lanes in range(2, 9):
             for ego in range(lanes):
                 grid = (rng.random((rows, lanes)) < 0.5).astype(np.uint8)
                 exp_grid, _, exp_passed, exp_collided = naive_step(grid, ego, Action.STAY)
-                cells = bytearray(grid.tobytes())
-                passed, collided = kernels.advance(cells, lanes, ego)
-                assert bytes(cells) == exp_grid.tobytes()
+                above, below = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+                stale = (rng.random(below * lanes) < 0.5).astype(np.uint8).tobytes()
+                tape = bytearray(bytes(above * lanes) + grid.tobytes() + stale)
+                before = bytes(tape)
+                top, size = above * lanes, rows * lanes
+                passed, collided = kernels.advance(tape, top, size, lanes, ego)
+                assert tape == before
+                assert tape[top - lanes : top - lanes + size] == exp_grid.tobytes()
                 assert (passed, collided) == (exp_passed, exp_collided)
 
 
@@ -212,6 +226,126 @@ def test_copied_env_continues_bit_identically(duplicate):
         if a.terminal:
             env.reset(k)
             twin.reset(k)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.deepcopy, lambda env: pickle.loads(pickle.dumps(env))],
+    ids=["deepcopy", "pickle"],
+)
+def test_copied_env_continues_across_a_chunk_draw_and_a_compaction(duplicate):
+    # copied one step before the window reaches the tape's start, with part of a
+    # chunk of sampled rows unused; the copy then plays a compaction and at least
+    # CHUNK more spawns, so one chunk draw, beside the original
+    config = EnvConfig(max_episode_steps=1000)
+    env = DeepCarsEnv(config)
+    env.reset(31)
+    rng = np.random.default_rng(4)
+
+    def act(state):
+        return int(rng.choice(safe_actions(state.grid, state.ego_lane) or [Action.STAY]))
+
+    for _ in range(TAPE_ROWS - 1):
+        assert not env.step(act(env.state)).terminal
+    assert (TAPE_ROWS - 1) // config.spawn_interval % CHUNK  # mid-chunk
+    twin = duplicate(env)
+    for _ in range(CHUNK * config.spawn_interval + 2):
+        action = act(env.state)
+        a, b = env.step(action), twin.step(action)
+        assert vars(a) == vars(b) and not a.terminal
+        assert env.state == twin.state
+
+
+def test_tape_size_does_not_depend_on_the_step_cap():
+    config = EnvConfig(occupancy_prob=0.0, max_episode_steps=10**9)
+    tracemalloc.start()
+    try:
+        env = DeepCarsEnv(config)
+        for _ in range(TAPE_ROWS + 10):  # through one compaction
+            env.step(Action.STAY)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(env._tape) <= (TAPE_ROWS + config.rows) * config.lanes
+    assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize(
+    "world, episodes",
+    [({"spawn_interval": 1, "occupancy_prob": 0.6}, 2),
+     ({"lanes": 8, "rows": 5, "spawn_interval": 2, "occupancy_prob": 0.7}, 2),
+     ({"lanes": 3, "rows": 9, "max_episode_steps": 6}, 20),
+     ({}, 2)],
+    ids=["interval-one", "8-lanes-5-rows", "cap-below-rows", "set-state"],
+)
+def test_env_matches_the_oracles_over_long_safe_play(world, episodes):
+    # the env beside a world stepped by naive_step and naive_spawn_row, which draw
+    # one row per spawn from their own generator; safe play keeps episodes longer
+    # than TAPE_ROWS, so the window moves back to the tape's end in mid-episode.
+    # The last world is overwritten by set_state one step after that move
+    config = EnvConfig(**{"max_episode_steps": 2 * TAPE_ROWS + 40, **world})
+    rows, lanes = config.rows, config.lanes
+    rng = np.random.default_rng(6)
+    env = DeepCarsEnv(config)
+    longest = 0
+    for episode in range(episodes):
+        env.reset(episode)
+        ref = np.random.default_rng(episode)
+        grid = np.zeros((rows, lanes), np.uint8)
+        ego = anchor = lanes // 2
+        for t in range(1, config.max_episode_steps + 1):
+            if not world and t == TAPE_ROWS + 2:
+                grid[rows // 2 :] = 0  # clearing cars keeps the corridor
+                grid[0, 0] = 1 - grid[0, 0]
+                env.set_state(grid=grid.copy(), ego_lane=ego)
+            action = int(rng.choice(safe_actions(grid, ego) or [0, 1, 2]))
+            out = env.step(action)
+            grid, ego, passed, collided = naive_step(grid, ego, action)
+            if t % config.spawn_interval == 0:
+                row, anchor = naive_spawn_row(ref, config, anchor)
+                grid[0] = row
+            terminal = collided > 0 or t == config.max_episode_steps
+            assert vars(out) == {"reward": -1.0 if collided else 1.0, "terminal": terminal,
+                                 "cars_passed_this_step": passed,
+                                 "cars_collided_this_step": collided}
+            assert env.cells == grid.tobytes() and env.ego_lane == ego
+            assert encode_tabular(env) == (ego, *naive_tabular_distances(grid))
+            back_grid, back_ego = decode_dqn(encode_dqn(env), config)
+            assert np.array_equal(back_grid, grid) and back_ego == ego
+            if terminal:
+                break
+        longest = max(longest, t)
+    # an episode reached the cap, or went on past the set_state
+    assert longest == config.max_episode_steps or longest > TAPE_ROWS + 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    lanes=st.integers(2, 8),
+    rows=st.integers(2, 9),
+    interval=st.integers(1, 4),
+    prob=st.sampled_from([0.2, 0.5, 0.9]),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=50),
+)
+def test_traffic_never_depends_on_the_ego(seed, lanes, rows, interval, prob, picks):
+    # two envs reset with one seed and driven by different actions see the same
+    # traffic at every step until either episode ends; one plays its first safe
+    # action, the other picks among its safe actions other than that one
+    config = EnvConfig(lanes=lanes, rows=rows, spawn_interval=interval, occupancy_prob=prob,
+                       max_episode_steps=TAPE_ROWS + 20)
+    first, other = DeepCarsEnv(config), DeepCarsEnv(config)
+    first.reset(seed)
+    other.reset(seed)
+    for t in range(config.max_episode_steps):
+        played = (safe_actions(first.grid, first.ego_lane) or [Action.STAY])[0]
+        a = first.step(played)
+        safe = safe_actions(other.grid, other.ego_lane)
+        choices = [c for c in safe if c != played] or safe or [0, 1, 2]
+        b = other.step(choices[picks[t % len(picks)] % len(choices)])
+        assert first.cells == other.cells
+        if a.terminal or b.terminal:
+            break
 
 
 def _scripted_env(text, spawn_interval=1000, lanes=None):
@@ -428,9 +562,14 @@ def test_reward_dichotomy_over_random_play():
 # spawning
 
 
+def _flags(rng, config):
+    """One row's sampled occupancy flags, drawn as the env draws each row."""
+    return (rng.random(config.lanes) < config.occupancy_prob).tolist()
+
+
 def test_spawn_row_zero_probability_all_free():
-    rng = np.random.default_rng(0)
-    row, anchor = spawn_row(rng, EnvConfig(occupancy_prob=0.0), anchor_lane=2)
+    config = EnvConfig(occupancy_prob=0.0)
+    row, anchor = spawn_row(_flags(np.random.default_rng(0), config), config, anchor_lane=2)
     assert row == bytes(5)
     assert anchor == 2
 
@@ -442,7 +581,9 @@ def test_spawn_row_repair_clears_anchor_when_all_occupied():
         def random(self, n):
             return np.zeros(n)  # below prob -> every lane occupied
 
-    row, anchor = spawn_row(AllOnes(), config, anchor_lane=2)
+    occupied = _flags(AllOnes(), config)
+    row, anchor = spawn_row(occupied, config, anchor_lane=2)
+    assert occupied == [True] * config.lanes  # the repair works on its own copy
     assert row[2] == 0
     assert row.count(1) == config.lanes - 1
     assert anchor == 2
@@ -453,7 +594,7 @@ def test_spawn_row_always_leaves_reachable_free_lane():
     rng = np.random.default_rng(21)
     anchor = config.lanes // 2
     for _ in range(5000):
-        row, new_anchor = spawn_row(rng, config, anchor)
+        row, new_anchor = spawn_row(_flags(rng, config), config, anchor)
         free = np.flatnonzero(np.frombuffer(row, np.uint8) == 0)
         assert free.size >= 1
         assert np.abs(free - anchor).min() <= config.spawn_interval - 1
@@ -468,15 +609,16 @@ def test_spawn_row_interval_one_keeps_anchor_lane_clear():
     rng = np.random.default_rng(2)
     anchor = 2
     for _ in range(2000):
-        row, anchor_next = spawn_row(rng, config, anchor)
+        row, anchor_next = spawn_row(_flags(rng, config), config, anchor)
         assert row[anchor] == 0
         assert anchor_next == anchor  # nearest free lane is always itself
         anchor = anchor_next
 
 
 def test_spawn_row_matches_reference_and_draw_count():
-    # same row, anchor and generator state as the array-scan reference, so a
-    # spawn consumes exactly one draw of `lanes` uniforms in every case
+    # same row and anchor as the array-scan reference, on rows taken in turn from
+    # one chunk draw; the chunk leaves the generator where the reference's 25
+    # draws of `lanes` uniforms do, so a spawn consumes exactly one such draw
     for lanes in range(2, 9):
         for interval in range(1, 5):
             for prob in (0.0, 0.4, 0.9, 0.95):
@@ -485,13 +627,14 @@ def test_spawn_row_matches_reference_and_draw_count():
                     seed = [lanes, interval, int(prob * 10), anchor]
                     rng = np.random.default_rng(seed)
                     ref = np.random.default_rng(seed)
-                    for _ in range(25):
-                        row, new_anchor = spawn_row(rng, config, anchor)
+                    chunk = (rng.random((25, lanes)) < prob).tolist()
+                    for occupied in chunk:
+                        row, new_anchor = spawn_row(occupied, config, anchor)
                         want_row, want_anchor = naive_spawn_row(ref, config, anchor)
                         assert type(row) is bytes
                         assert np.array_equal(np.frombuffer(row, np.uint8), want_row)
                         assert type(new_anchor) is int and new_anchor == want_anchor
-                        assert rng.bit_generator.state == ref.bit_generator.state
+                    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("steps", [2.5, True, 0], ids=repr)

@@ -333,10 +333,24 @@ def test_model_with_non_finite_weights_fails_loudly(tmp_path):
         ("dims ", "dims 43,x,3", "bad dims '43,x,3'.*invalid literal"),
         ("dims ", "dims 43,-4,3", "bad dims '43,-4,3'.*positive sizes"),
         ("dims ", "dims 43", "bad dims '43'.*positive sizes"),
+        # text once parsed to values save_model writes differently
+        ("dims ", "dims 43,4,0_3", "block 'dims' is not as saved"),
+        ("dims ", "dims 043,4,3", "block 'dims' is not as saved"),
+        ("dims ", "dims 43, 4,3", "block 'dims' is not as saved"),
+        ("b0 ", "b0 1_0 +0.5 0.0 0.0", "block 'b0' is not as saved"),
+        ("b0 ", "b0 0.0 0.50 0.0 0.0", "block 'b0' is not as saved"),
+        ("b0 ", "b0 0.0 5e-1 0.0 0.0", "block 'b0' is not as saved"),
+        ("b0 ", "b0 0.0  0.0 0.0 0.0", "block 'b0' is not as saved"),
+        ("optimizer ", "optimizer rmsprop", "block 'optimizer': unknown optimizer 'rmsprop'"),
+        ("optimizer ", "optimizer Adam", "block 'optimizer': unknown optimizer 'Adam'"),
     ],
-    ids=["bad-float", "bad-int-dims", "negative-dims", "one-layer-dims"],
+    ids=["bad-float", "bad-int-dims", "negative-dims", "one-layer-dims",
+         "underscore-dims", "leading-zero-dims", "spaced-dims", "underscore-and-plus-weights",
+         "trailing-zero-weight", "exponent-weight", "double-space-weights",
+         "unknown-optimizer", "capitalised-optimizer"],
 )
 def test_malformed_model_names_file_and_block(tmp_path, line, replacement, message):
+    # a model file is read only as save_model writes it, as CSVs and q-tables are
     path = tmp_path / "model.txt"
     net.save_model(net.init_params([43, 4, 3], 0), path)
     lines = [replacement if ln.startswith(line) else ln for ln in path.read_text().splitlines()]
@@ -344,3 +358,4 @@ def test_malformed_model_names_file_and_block(tmp_path, line, replacement, messa
     with pytest.raises(ModelFormatError, match=message) as info:
         net.load_model(path)
     assert str(info.value).startswith(f"{path}: ")
+
