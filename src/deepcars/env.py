@@ -14,7 +14,7 @@ a time-descending tape, and the grid is a window moving up it one row a step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -78,45 +78,38 @@ class EnvConfig:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EnvState:
     """Value snapshot of the world; the grid holds traffic only, never the ego.
 
-    On creation the grid is checked (2-D, every cell 0 or 1) and copied into
-    `cells`, and an ego lane that is not an integer lane of the grid is refused;
-    `grid` is then a read-only uint8 view of `cells`. Snapshots compare and hash
-    by value: cells, lanes, ego lane and step count."""
+    Made only by `EnvState(grid, ego_lane, step_count)`, which checks the grid
+    (2-D, every cell 0 or 1) and copies it into `cells`, and refuses an ego lane
+    that is not an integer lane of the grid. Snapshots compare and hash by their
+    fields; holding bytes and ints only, they copy and pickle with no hook."""
 
-    grid: np.ndarray = field(compare=False, repr=False)  # (rows, lanes), a view of `cells`
+    cells: bytes  # row-major, one 0/1 byte per cell
+    lanes: int
     ego_lane: int
     step_count: int
-    cells: bytes = field(init=False)  # row-major, one 0/1 byte per cell
-    lanes: int = field(init=False)
 
-    def __post_init__(self):
-        grid, ego = np.asarray(self.grid), self.ego_lane
+    def __init__(self, grid, ego_lane: int, step_count: int):
+        grid = np.asarray(grid)
         if grid.ndim != 2:
             raise ConfigError(f"grid must be 2-D, got shape {grid.shape}")
-        if not np.isin(grid, (0, 1)).all():  # checked before the cast to uint8 can wrap a cell
+        # checked before the cast to uint8 can wrap a cell
+        if not ((grid == 0) | (grid == 1)).all():
             raise ConfigError("grid cells must be 0 or 1")
-        if not is_integer(ego):
-            raise ConfigError(f"ego_lane must be an integer, got {ego!r}")
-        if not 0 <= ego < grid.shape[1]:
-            raise ConfigError(f"ego_lane {ego} outside [0, {grid.shape[1]})")
-        _snapshot(grid.astype(np.uint8).tobytes(), grid.shape[1], int(ego), self.step_count, self)
+        if not is_integer(ego_lane):
+            raise ConfigError(f"ego_lane must be an integer, got {ego_lane!r}")
+        if not 0 <= ego_lane < grid.shape[1]:
+            raise ConfigError(f"ego_lane {ego_lane} outside [0, {grid.shape[1]})")
+        vars(self).update(cells=grid.astype(np.uint8).tobytes(), lanes=grid.shape[1],
+                          ego_lane=int(ego_lane), step_count=step_count)
 
-    def __reduce__(self):
-        # a copy or an unpickled snapshot rebuilds its view over its own cells
-        return _snapshot, (self.cells, self.lanes, self.ego_lane, self.step_count)
-
-
-def _snapshot(cells: bytes, lanes: int, ego_lane: int, step_count: int, state=None) -> EnvState:
-    """`state`, a new EnvState by default, holding cells and an ego lane already
-    checked, as a live env's are; the one place a frozen snapshot's fields are set."""
-    state = object.__new__(EnvState) if state is None else state
-    grid = np.frombuffer(cells, np.uint8).reshape(-1, lanes)
-    vars(state).update(grid=grid, ego_lane=ego_lane, step_count=step_count, cells=cells, lanes=lanes)
-    return state
+    @property
+    def grid(self) -> np.ndarray:
+        """Read-only uint8 (rows, lanes) view of `cells`."""
+        return np.frombuffer(self.cells, np.uint8).reshape(-1, self.lanes)
 
 
 @dataclass(eq=False)
@@ -186,10 +179,7 @@ class DeepCarsEnv:
         """Row-major copy of the traffic, one 0/1 byte per cell; later steps leave it as it is."""
         return bytes(self._tape[self._top : self._top + self._size])
 
-    @property
-    def grid(self) -> np.ndarray:
-        """Read-only uint8 (rows, lanes) view of `cells`."""
-        return np.frombuffer(self.cells, np.uint8).reshape(-1, self.lanes)
+    grid = EnvState.grid  # the same read-only view, of the live cells
 
     @property
     def ego_lane(self) -> int:
@@ -198,7 +188,7 @@ class DeepCarsEnv:
     @property
     def state(self) -> EnvState:
         """A snapshot of the world, with its own copy of the cells."""
-        return _snapshot(self.cells, self.lanes, self._ego, self._steps)
+        return EnvState(self.grid, self._ego, self._steps)
 
     @property
     def terminal(self) -> bool:

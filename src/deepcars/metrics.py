@@ -1,5 +1,6 @@
 """Run statistics: accuracy metric, CSV persistence, standalone SVG charts,
-and `write_lines`, the atomic writer of every artifact file.
+`write_lines`, the atomic writer of every artifact file, and `read_lines`,
+its reader.
 
 A run directory holds one CSV per record family; `_FAMILIES` declares them.
 """
@@ -9,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import index, itemgetter
 
 import numpy as np
@@ -104,6 +104,20 @@ def write_lines(path, lines) -> None:
         raise
 
 
+def read_lines(path) -> list[str]:
+    """The lines of `path` without their newline: the inverse of `write_lines`.
+
+    Only "\n" ends a line, so a "\r" stays in its line's text, where each
+    format's as-written check refuses it; text after the last newline is
+    refused here. Every artifact file is read through here.
+    """
+    with open(path, newline="") as fh:
+        lines = fh.read().split("\n")
+    if lines.pop():
+        raise ValueError(f"{path}:{len(lines) + 1}: missing newline at end of file")
+    return lines
+
+
 # column type of `accuracy`: a float, or n/a (None) when no car resolved
 _FLOAT_OR_NA = "float or n/a"
 
@@ -121,14 +135,12 @@ _FAMILIES = (
 
 
 def _finite(cells):
-    """The cells as floats, checked a block at a time (so a column is never held
+    """The cells as floats, checked one at a time (so a column is never held
     whole); nan and inf, which `_parse` refuses, raise ValueError."""
-    cells = map(float, cells)
-    for block in iter(lambda: list(islice(cells, 4096)), []):
-        if not np.isfinite(block).all():
-            bad = next(v for v in block if not math.isfinite(v))
-            raise ValueError(f"a number cell must be finite, got {bad!r}")
-        yield from block
+    for value in map(float, cells):
+        if not math.isfinite(value):
+            raise ValueError(f"a number cell must be finite, got {value!r}")
+        yield value
 
 
 # Writer of each column type, the inverse of `_parse`: a column's cells in, their text
@@ -156,11 +168,9 @@ def write_csv(metrics: RunMetrics, out_dir) -> None:
         write_lines(path, _csv_lines(path, columns, records))
 
 
-def _read_rows(path, header=None):
-    """(lineno, cells) per data row, each as wide as the first line, which must
-    read `header` unless that is None."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+def _read_rows(path, lines, header=None):
+    """(lineno, cells) per data row of the `lines` of `path`, each as wide as the
+    first line, which must read `header` unless that is None."""
     if not lines:
         raise CsvParseError(f"{path}:1: empty file")
     if header is None:
@@ -218,7 +228,7 @@ def read_csv(out_dir) -> RunMetrics:
     metrics = RunMetrics()
     for name, attr, columns in _FAMILIES:
         path = os.path.join(out_dir, name)
-        rows = _read_rows(path, [column for column, _ in columns])
+        rows = _read_rows(path, read_lines(path), [column for column, _ in columns])
         records = list(zip(*(_parse(path, rows, k, kind) for k, (_, kind) in enumerate(columns))))
         if attr is None:
             if len(records) != 1:
@@ -234,7 +244,8 @@ def read_csv(out_dir) -> RunMetrics:
 
 def read_series(path):
     """(xs, ys) from the first two columns of a CSV with any header, for plotting."""
-    rows = _read_rows(path)
+    with open(path) as fh:  # a plot takes foreign files: any line ends, any last line
+        rows = _read_rows(path, fh.read().splitlines())
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
     if len(rows[0][1]) < 2:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .metrics import write_lines
+from .metrics import read_lines, write_lines
 
 
 class ShapeError(ValueError):
@@ -216,8 +216,7 @@ def save_model(params: MlpParams, path, optimizer: str = "adam") -> None:
 def load_model(path) -> tuple[MlpParams, str]:
     """Inverse of save_model; refuses any other format version, and any text
     save_model would not write for the values read, such as "0_3" or "+0.5"."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("format "):
         raise ModelFormatError(f"{path}: missing format header")
     tag = lines[0].split(" ", 1)[1]
@@ -236,18 +235,12 @@ def load_model(path) -> tuple[MlpParams, str]:
     optimizer = lines[2].split(" ", 1)[1]
     if optimizer not in OPTIMIZERS:
         raise ModelFormatError(f"{path}: block 'optimizer': unknown optimizer {optimizer!r}")
+    # each line is read as the block whose place it holds, so an inserted or blank
+    # line fails at that block; lines missing or left over fail the line count
     blocks = _blocks(params)
-    body = lines[3:]
-    if len(body) != len(blocks):
-        raise ModelFormatError(
-            f"{path}: expected {len(blocks)} parameter lines, found {len(body)}"
-        )
-    for line, (label, view) in zip(body, blocks):
-        key, _, payload = line.partition(" ")
-        if key != label:
-            raise ModelFormatError(f"{path}: expected block {label!r}, found {key!r}")
+    for line, (label, view) in zip(lines[3:], blocks):
         try:
-            values = np.array([float(v) for v in payload.split()], dtype=np.float64)
+            values = np.array([float(v) for v in line.partition(" ")[2].split()])
         except ValueError as exc:
             raise ModelFormatError(f"{path}: block {label!r}: {exc}") from None
         if values.size != view.size:
@@ -260,4 +253,8 @@ def load_model(path) -> tuple[MlpParams, str]:
     for line, text in zip(lines, _model_lines(params, optimizer)):
         if line != text:
             raise ModelFormatError(f"{path}: block {line.split()[0]!r} is not as saved")
+    if len(lines) - 3 != len(blocks):
+        raise ModelFormatError(
+            f"{path}: expected {len(blocks)} parameter lines, found {len(lines) - 3}"
+        )
     return params, optimizer

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import DeepCarsEnv, EnvConfig, EnvState, Episodes, check_integer_fields
-from .metrics import RunMetrics, write_lines
+from .metrics import RunMetrics, read_lines, write_lines
 from .net import NumericError
 
 # the tabular state, (ego_lane, d_0, ..., d_{lanes-1}): the row a q-table file stores
@@ -127,31 +127,28 @@ def save_qtable(table: QTable, path) -> None:
 
 def load_qtable(path) -> QTable:
     table: QTable = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            left, sep, right = line.partition("|")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: missing '|' separator")
-            try:
-                ints = [int(v) for v in left.split()]
-                qs = [float(v) for v in right.split()]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed record") from None
-            if len(ints) < 2 or len(qs) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected ego+distances and 3 Q-values"
-                )
-            if _qtable_line(ints, qs) != line:  # "0_1" or "+0.5": text save_qtable never writes
-                raise ValueError(f"{path}:{lineno}: malformed record")
-            if min(ints) < 0:
-                raise ValueError(f"{path}:{lineno}: negative lane or distance")
-            if not all(map(math.isfinite, qs)):
-                raise ValueError(f"{path}:{lineno}: non-finite Q-value")
-            state = tuple(ints)
-            if state in table:
-                raise ValueError(f"{path}:{lineno}: repeated state {left.strip()!r}")
-            table[state] = qs
+    for lineno, line in enumerate(read_lines(path), start=1):
+        left, sep, right = line.partition("|")
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: missing '|' separator")
+        try:
+            ints = [int(v) for v in left.split()]
+            qs = [float(v) for v in right.split()]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed record") from None
+        if len(ints) < 2 or len(qs) != 3:
+            raise ValueError(
+                f"{path}:{lineno}: expected ego+distances and 3 Q-values"
+            )
+        # "0_1", "+0.5", padding or a "\r": text save_qtable never writes
+        if _qtable_line(ints, qs) != line:
+            raise ValueError(f"{path}:{lineno}: malformed record")
+        if min(ints) < 0:
+            raise ValueError(f"{path}:{lineno}: negative lane or distance")
+        if not all(map(math.isfinite, qs)):
+            raise ValueError(f"{path}:{lineno}: non-finite Q-value")
+        state = tuple(ints)
+        if state in table:
+            raise ValueError(f"{path}:{lineno}: repeated state {left.strip()!r}")
+        table[state] = qs
     return table

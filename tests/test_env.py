@@ -147,7 +147,22 @@ def test_snapshot_is_a_value():
     for _ in range(6):
         env.step(Action.STAY)
     state = env.state
-    assert state == env.state and hash(state) == hash(env.state)
+    # every route to a snapshot of this world gives the same value, with a read-only grid
+    routes = (env.state, EnvState(env.grid, state.ego_lane, state.step_count),
+              copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state)))
+    for twin in routes:
+        assert twin == state and hash(twin) == hash(state)
+        assert twin.grid.tobytes() == twin.cells and not twin.grid.flags.writeable
+        with pytest.raises(ValueError):
+            twin.grid[0, 0] = 1
+    with pytest.raises(AttributeError):  # frozen: the constructor is the one way in
+        state.cells = bytes(40)
+    # a refused snapshot or set_state changes nothing
+    with pytest.raises(ConfigError):
+        EnvState(np.full((8, 5), 2), 2, 6)
+    with pytest.raises(ConfigError):
+        env.set_state(grid=np.full((8, 5), 2), ego_lane=0)
+    assert env.state == state and all(twin == state for twin in routes)
     # a different world: another ego lane, another step, or the same bytes in another shape
     env.step(Action.STAY)
     assert env.state != state
@@ -164,12 +179,7 @@ def test_snapshot_is_a_value():
     assert encode_dqn(snap).tobytes() == vec.tobytes()
     assert snap == EnvState(np.frombuffer(cells, np.uint8).reshape(8, 5), 2, 0)
     with pytest.raises(ValueError):
-        state.grid[0, 0] = 1
-    with pytest.raises(ValueError):
         state.grid.setflags(write=True)
-    for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
-        assert twin == state and hash(twin) == hash(state)
-        assert twin.grid.tobytes() == twin.cells and not twin.grid.flags.writeable
 
 
 def test_ego_lane_cannot_be_assigned():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deepcars.env import EnvConfig, Episodes
+from deepcars.net import init_params, load_model, save_model
 from deepcars.metrics import (
     CsvParseError,
     RunMetrics,
@@ -16,6 +17,7 @@ from deepcars.metrics import (
     write_csv,
     write_lines,
 )
+from deepcars.tabular import load_qtable, save_qtable
 
 from helpers import metrics_equal, naive_ledger
 
@@ -239,6 +241,56 @@ def test_write_lines_failing_iterator_keeps_old_file(tmp_path):
         write_lines(path, lines())
     assert path.read_bytes() == b"old\nlines\n"
     assert os.listdir(path.parent) == ["artifact.txt"]
+
+
+# a saved artifact of each kind: (file name, save to a path, load from it)
+_ARTIFACTS = {
+    "steps": ("steps.csv", lambda path: write_csv(_sample_metrics(), path.parent),
+              lambda path: read_csv(path.parent)),
+    "qtable": ("qtable.txt", lambda path: save_qtable({(1, 2, 3, 4): [0.5, 0.25, -0.125]}, path),
+               load_qtable),
+    "model": ("model.txt", lambda path: save_model(init_params([43, 4, 3], 0), path), load_model),
+}
+
+
+def _crlf(text):
+    return text.replace(b"\n", b"\r\n")
+
+
+def _unterminated(text):
+    return text[:-1]
+
+
+def _blank_first_line(text):
+    return b"\n" + text
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("steps", _crlf, ":1: expected header"),
+    ("steps", _unterminated, ":101: missing newline at end of file"),
+    ("qtable", _crlf, ":1: malformed record"),
+    ("qtable", _unterminated, ":1: missing newline at end of file"),
+    ("qtable", _blank_first_line, ":1: missing '|' separator"),
+    ("model", _crlf, r": unsupported model format 'deepcars-mlp-v1\\r'"),  # the format line
+    ("model", _unterminated, ":7: missing newline at end of file"),
+], ids=["steps-crlf", "steps-unterminated", "qtable-crlf",
+        "qtable-unterminated", "qtable-leading-blank-line", "model-crlf", "model-unterminated"])
+def test_artifact_is_read_only_as_written_lines(tmp_path, kind, edit, message):
+    # every artifact file is read through read_lines, which takes "\n" as the only
+    # line end and refuses text after the last one
+    name, save, load = _ARTIFACTS[kind]
+    path = tmp_path / name
+    save(path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match="^" + re.escape(str(path)) + message):
+        load(path)
+
+
+def test_plot_reads_a_crlf_csv_without_a_final_newline(tmp_path):
+    # read_series takes foreign files, which no run wrote through write_lines
+    path = tmp_path / "foreign.csv"
+    path.write_bytes(b"x,y\r\n1,2.5\r\n3,-4.0")
+    assert read_series(path) == ([1.0, 3.0], [2.5, -4.0])
 
 
 def test_plot_single_constant_series_horizontal(tmp_path):

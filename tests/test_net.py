@@ -343,11 +343,14 @@ def test_model_with_non_finite_weights_fails_loudly(tmp_path):
         ("b0 ", "b0 0.0  0.0 0.0 0.0", "block 'b0' is not as saved"),
         ("optimizer ", "optimizer rmsprop", "block 'optimizer': unknown optimizer 'rmsprop'"),
         ("optimizer ", "optimizer Adam", "block 'optimizer': unknown optimizer 'Adam'"),
+        # a blank line after the header, read in the place of block w0, and a "\r"
+        ("optimizer ", "optimizer adam\n", "block 'w0' has 0 values, expected 172"),
+        ("b1 ", "b1 0.0 0.0 0.0\r", "block 'b1' is not as saved"),
     ],
     ids=["bad-float", "bad-int-dims", "negative-dims", "one-layer-dims",
          "underscore-dims", "leading-zero-dims", "spaced-dims", "underscore-and-plus-weights",
          "trailing-zero-weight", "exponent-weight", "double-space-weights",
-         "unknown-optimizer", "capitalised-optimizer"],
+         "unknown-optimizer", "capitalised-optimizer", "blank-line", "crlf-line"],
 )
 def test_malformed_model_names_file_and_block(tmp_path, line, replacement, message):
     # a model file is read only as save_model writes it, as CSVs and q-tables are

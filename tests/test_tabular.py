@@ -231,9 +231,14 @@ def test_saved_rows_are_the_keys_joined_in_sorted_order(tmp_path):
         ("1 0_1 3 3 | 0.5 0.0 -0.5", "malformed record"),
         ("1 0 3 3 | 1 0.0 -0.5", "malformed record"),
         ("1 0 3 3 | +0.5 0.0 -0.5", "malformed record"),
+        # load_qtable reads each line as save_qtable writes it: no blank, no padding, no "\r"
+        ("", "missing '|'"),
+        ("  1 0 3 3 | 0.5 0.0 -0.5  ", "malformed record"),
+        ("1 0 3 3 | 0.5 0.0 -0.5\r", "malformed record"),
     ],
     ids=["no-separator", "nan", "inf", "repeated", "negative-distance",
-         "underscore-in-state", "int-q-value", "plus-q-value"],
+         "underscore-in-state", "int-q-value", "plus-q-value",
+         "blank-line", "padded-line", "crlf-line"],
 )
 def test_qtable_parse_error_names_line(tmp_path, line, message):
     path = tmp_path / "qtable.txt"
