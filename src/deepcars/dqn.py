@@ -169,7 +169,7 @@ class DqnTrainer:
         self.online = net.init_params(dims, init_seed)
         self.target = net.clone(self.online)
         self.opt = net.make_optimizer(self.online, hp.optimizer, hp.learning_rate)
-        self.buffer = ReplayBuffer(hp.replay_capacity, state_dim)
+        self.buffer = ReplayBuffer(hp.replay_capacity, state_dim, np.uint8)  # states are 0/1
         self.metrics = RunMetrics()
         self.best: Checkpoint | None = None
         self.step_index = 0

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import index, itemgetter
+from itertools import pairwise
+from operator import index
 
 import numpy as np
 
@@ -21,10 +24,48 @@ class CsvParseError(ValueError):
 
 WINDOW_EPISODES = 100
 
+# The columns of steps.csv. RunMetrics keeps the step rows as one typed array per
+# column, its typecode set by the column's type, so a step costs 8 bytes a cell.
+_STEP_COLUMNS = (("step", int), ("episode", int), ("reward", float), ("epsilon", float))
+_TYPECODES = {int: "q", float: "d"}
+
+
+def _step_columns(cells=((),) * len(_STEP_COLUMNS)):
+    """One typed array per steps.csv column, holding that column's `cells`."""
+    return tuple(array(_TYPECODES[kind], column) for (_, kind), column in zip(_STEP_COLUMNS, cells))
+
+
+class _StepRows(Sequence):
+    """A read-only view of the step columns as (step, episode, reward, epsilon) rows;
+    it holds no row of its own, and equals another view or a list of the same rows."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns):
+        self._columns = columns
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(*(column[i] for column in self._columns)))
+        return tuple(column[i] for column in self._columns)
+
+    def __iter__(self):
+        return zip(*self._columns)
+
+    def __eq__(self, other):
+        if isinstance(other, _StepRows):
+            return self._columns == other._columns
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self):
+        return f"_StepRows({list(self)!r})"
+
 
 @dataclass
 class RunMetrics:
-    steps: list = field(default_factory=list)  # (step, episode, reward, epsilon)
     windows: list = field(default_factory=list)  # (window, mean_reward)
     validations: list = field(default_factory=list)  # (step, mean_rew, acc, is_best)
     passed: int = 0
@@ -32,6 +73,12 @@ class RunMetrics:
     episode: int = 0  # episodes finished so far
     episode_rewards: list = field(default_factory=list)  # one sum per finished episode
     _episode_reward: float = field(default=0.0, repr=False)
+    _steps: tuple = field(default_factory=_step_columns, init=False, repr=False)
+
+    @property
+    def steps(self) -> _StepRows:
+        """The booked steps as (step, episode, reward, epsilon) rows, read-only."""
+        return _StepRows(self._steps)
 
     def record(self, step, outcome, epsilon):
         """Book one environment step: its row, then its tally."""
@@ -52,10 +99,24 @@ class RunMetrics:
                 block = self.episode_rewards[-WINDOW_EPISODES:]
                 self.add_window(self.episode // WINDOW_EPISODES - 1, float(np.mean(block)))
 
-    # add_* append as given; write_csv refuses a cell its column's type cannot hold
-    def add_step(self, step, episode, reward, epsilon):
-        self.steps.append((step, episode, reward, epsilon))
+    def add_step(self, *row):
+        """Append one (step, episode, reward, epsilon) row. A row of another width
+        raises ValueError, and a cell its column's array cannot hold (a float or
+        None step, a None or text reward) TypeError; neither leaves a part of the row."""
+        step, episode, reward, epsilon = row
+        steps, episodes, rewards, epsilons = columns = self._steps
+        try:
+            steps.append(step)
+            episodes.append(episode)
+            rewards.append(reward)
+            epsilons.append(epsilon)
+        except (TypeError, OverflowError):
+            for column in columns:
+                del column[len(epsilons):]
+            raise
 
+    # add_window and add_validation append as given; write_csv refuses a cell its
+    # column's type cannot hold
     def add_window(self, window, mean_reward):
         self.windows.append((window, mean_reward))
 
@@ -121,12 +182,12 @@ def read_lines(path) -> list[str]:
 # column type of `accuracy`: a float, or n/a (None) when no car resolved
 _FLOAT_OR_NA = "float or n/a"
 
-# One entry per CSV record family: its file, the RunMetrics list it holds
-# (None for the single summary row of passed and collided cars), and its
-# (column, type) pairs. Both write_csv and read_csv are loops over this table.
+# One entry per CSV record family: its file, the RunMetrics attribute that holds
+# it (None for the single summary row of passed and collided cars), and its
+# (column, type) pairs. Both write_csv and read_csv are loops over this table;
+# the steps family is held as columns, the others as lists of records.
 _FAMILIES = (
-    ("steps.csv", "steps",
-     (("step", int), ("episode", int), ("reward", float), ("epsilon", float))),
+    ("steps.csv", "steps", _STEP_COLUMNS),
     ("windows.csv", "windows", (("window", int), ("mean_reward", float))),
     ("validation.csv", "validations",
      (("step", int), ("mean_reward", float), ("accuracy", _FLOAT_OR_NA), ("is_new_best", bool))),
@@ -153,19 +214,25 @@ _WRITERS = {
 }
 
 
-def _csv_lines(path, columns, records):
-    if any(len(rec) != len(columns) for rec in records):
-        raise ValueError(f"{path}: every record must have {len(columns)} cells")
+def _csv_lines(columns, cells):
+    """The header of `columns`, then one line per row of `cells`, which holds one
+    iterable per column; each goes straight to its column type's writer."""
     yield ",".join(name for name, _ in columns)
-    cells = [_WRITERS[kind](map(itemgetter(k), records)) for k, (_, kind) in enumerate(columns)]
-    yield from map(",".join, zip(*cells))
+    yield from map(",".join, zip(*(_WRITERS[kind](column)
+                                   for (_, kind), column in zip(columns, cells))))
 
 
 def write_csv(metrics: RunMetrics, out_dir) -> None:
     for name, attr, columns in _FAMILIES:
         path = os.path.join(out_dir, name)
-        records = [(metrics.passed, metrics.collided)] if attr is None else getattr(metrics, attr)
-        write_lines(path, _csv_lines(path, columns, records))
+        if attr == "steps":
+            cells = metrics._steps  # the ledger's own columns: no row is built
+        else:
+            records = [(metrics.passed, metrics.collided)] if attr is None else getattr(metrics, attr)
+            if any(len(rec) != len(columns) for rec in records):
+                raise ValueError(f"{path}: every record must have {len(columns)} cells")
+            cells = list(zip(*records))
+        write_lines(path, _csv_lines(columns, cells))
 
 
 def _read_rows(path, lines, header=None):
@@ -229,16 +296,17 @@ def read_csv(out_dir) -> RunMetrics:
     for name, attr, columns in _FAMILIES:
         path = os.path.join(out_dir, name)
         rows = _read_rows(path, read_lines(path), [column for column, _ in columns])
-        records = list(zip(*(_parse(path, rows, k, kind) for k, (_, kind) in enumerate(columns))))
+        cells = [_parse(path, rows, k, kind) for k, (_, kind) in enumerate(columns)]
         if attr is None:
-            if len(records) != 1:
+            if len(rows) != 1:
                 raise CsvParseError(f"{path}: expected exactly one summary row")
-            metrics.passed, metrics.collided = records[0]
-            continue
-        for a, b in zip(records, records[1:]):
-            if b[0] < a[0]:
-                raise CsvParseError(f"{path}: step indices are not monotone")
-        setattr(metrics, attr, records)
+            metrics.passed, metrics.collided = (column[0] for column in cells)
+        elif any(b < a for a, b in pairwise(cells[0])):
+            raise CsvParseError(f"{path}: step indices are not monotone")
+        elif attr == "steps":
+            metrics._steps = _step_columns(cells)
+        else:
+            setattr(metrics, attr, list(zip(*cells)))
     return metrics
 
 

@@ -8,24 +8,30 @@ import numpy as np
 
 
 class Batch(NamedTuple):
-    states: np.ndarray  # (B, dim)
+    states: np.ndarray  # (B, dim) float64
     actions: np.ndarray  # (B,) int64
     rewards: np.ndarray  # (B,)
-    next_states: np.ndarray  # (B, dim)
+    next_states: np.ndarray  # (B, dim) float64
     terminals: np.ndarray  # (B,) bool
 
 
 class ReplayBuffer:
-    """Ring buffer over preallocated arrays; oldest entries are overwritten first."""
+    """Ring buffer over preallocated arrays; oldest entries are overwritten first.
 
-    def __init__(self, capacity: int, state_dim: int):
+    States are stored as `dtype`: the DQN trainer's 0/1 states fit in uint8, an
+    eighth of float64's bytes. `push` takes only states the store holds exactly,
+    and `sample` returns them as float64, so a batch has the same bits whatever
+    the store's dtype.
+    """
+
+    def __init__(self, capacity: int, state_dim: int, dtype=np.float64):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
+        self.states = np.zeros((capacity, state_dim), dtype)
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
+        self.next_states = np.zeros((capacity, state_dim), dtype)
         self.terminals = np.zeros(capacity, dtype=bool)
         self._cursor = 0
         self._fill = 0
@@ -33,9 +39,30 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._fill
 
+    def _held(self, name: str, row) -> np.ndarray:
+        """`row` as the store's dtype; ValueError unless it is one row of
+        `state_dim` values that the dtype holds exactly."""
+        row = np.asarray(row)
+        store = self.states
+        if row.shape != store.shape[1:]:
+            raise ValueError(f"{name} has shape {row.shape}, the store holds rows of shape "
+                             f"{store.shape[1:]}")
+        try:
+            return row.astype(store.dtype, casting="same_value", copy=False)
+        except ValueError:
+            with np.errstate(invalid="ignore"):  # nan and inf cast with a warning
+                changed = row[row.astype(store.dtype).astype(row.dtype) != row]
+            if not changed.size:
+                raise
+            raise ValueError(f"{name} value {changed[0].item()!r} is not exactly "
+                             f"representable as {store.dtype}") from None
+
     def push(
         self, state: np.ndarray, action: int, reward: float, next_state: np.ndarray, terminal: bool
     ) -> None:
+        # both states are checked before any row is written, so a refused push
+        # leaves the ring as it was
+        state, next_state = self._held("state", state), self._held("next state", next_state)
         i = self._cursor
         self.states[i] = state
         self.actions[i] = action
@@ -51,9 +78,9 @@ class ReplayBuffer:
             return None
         idx = rng.integers(0, self._fill, size=batch_size)
         return Batch(
-            states=self.states.take(idx, axis=0),
+            states=self.states.take(idx, axis=0).astype(np.float64, copy=False),
             actions=self.actions.take(idx),
             rewards=self.rewards.take(idx),
-            next_states=self.next_states.take(idx, axis=0),
+            next_states=self.next_states.take(idx, axis=0).astype(np.float64, copy=False),
             terminals=self.terminals.take(idx),
         )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -304,13 +305,25 @@ def naive_validate(act, config: EnvConfig, episodes: int, seed: int):
 # own env, its own episode generator and its own step ledger
 
 
+@dataclass
+class NaiveLedger:
+    """The ledger fields a run's CSVs and tallies hold, as plain lists of plain
+    rows, so no oracle leans on the library's storage."""
+
+    steps: list = field(default_factory=list)  # (step, episode, reward, epsilon)
+    windows: list = field(default_factory=list)  # (window, mean_reward)
+    validations: list = field(default_factory=list)
+    passed: int = 0
+    collided: int = 0
+    episode: int = 0
+    episode_rewards: list = field(default_factory=list)
+
+
 def naive_ledger(booked):
     """Reference for RunMetrics.record over one run's (outcome, epsilon) per
     step; `episode_rewards` holds each finished episode's reward, summed step
     by step."""
-    from deepcars.metrics import RunMetrics
-
-    metrics = RunMetrics()
+    metrics = NaiveLedger()
     episode_reward = 0.0
     window = []
     for t, (out, eps) in enumerate(booked, start=1):

@@ -16,7 +16,7 @@ from deepcars.dqn import (
     validate,
 )
 from deepcars.env import EnvConfig, evaluate
-from deepcars.replay import Batch
+from deepcars.replay import Batch, ReplayBuffer
 
 from helpers import layer_offsets, metrics_equal, naive_dqn_rollout, naive_validate
 
@@ -185,6 +185,32 @@ def test_training_is_deterministic():
     assert r1[2].steps == r2[2].steps
     assert r1[2].validations == r2[2].validations
     assert r1[0].training_step == r2[0].training_step
+
+
+@pytest.mark.parametrize("double_q", [False, True], ids=["dqn", "ddqn"])
+def test_uint8_replay_trains_the_bits_of_a_float64_replay(double_q):
+    # a ring that wraps four times, with target syncs and both validation cadences
+    hp = replace(SMALL_HP, train_steps=1_200, replay_capacity=300, learn_start=100,
+                 target_sync_period=200, fast_validation_period=300, deep_validation_period=900,
+                 double_q=double_q)
+    small, wide = DqnTrainer(SMALL_CFG, hp, seed=17), DqnTrainer(SMALL_CFG, hp, seed=17)
+    wide.buffer = ReplayBuffer(hp.replay_capacity, small.buffer.states.shape[1])
+    assert (small.buffer.states.dtype, wide.buffer.states.dtype) == (np.uint8, np.float64)
+    runs = [trainer.run() for trainer in (small, wide)]
+    assert len(small.buffer) == 300 and small.step_index == 1_200
+    for name in ("online", "target"):
+        assert getattr(small, name).theta.tobytes() == getattr(wide, name).theta.tobytes()
+    assert small.opt.m.tobytes() == wide.opt.m.tobytes()
+    assert small.opt.v.tobytes() == wide.opt.v.tobytes()
+    assert small.opt.step_count == wide.opt.step_count == 1_200 - hp.learn_start + 1
+    (best_s, _, metrics_s), (best_w, _, metrics_w) = runs
+    assert best_s.params.theta.tobytes() == best_w.params.theta.tobytes()
+    assert (best_s.mean_validation_reward, best_s.training_step) == (
+        best_w.mean_validation_reward, best_w.training_step)
+    assert metrics_equal(metrics_s, metrics_w)
+    assert metrics_s.steps == metrics_w.steps and len(metrics_s.steps) == 1_200
+    assert metrics_s.validations == metrics_w.validations and len(metrics_s.validations) == 4
+    assert metrics_s.episode_rewards == metrics_w.episode_rewards
 
 
 def test_validate_zero_weights_empty_road():

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import re
 
 import numpy as np
@@ -162,7 +163,7 @@ def test_failed_csv_write_keeps_old_file(tmp_path):
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
     bad = RunMetrics()
     bad.add_step(1, 0, 1.0, 0.5)
-    bad.steps.append((2, 0, "not a number", 0.5))
+    bad.add_step(2, 0, float("nan"), 0.5)  # booked, but refused by write_csv
     with pytest.raises(ValueError):
         write_csv(bad, tmp_path)
     after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
@@ -170,24 +171,26 @@ def test_failed_csv_write_keeps_old_file(tmp_path):
 
 
 def test_numpy_cells_are_written_by_their_column_type(tmp_path):
-    # the public lists may hold numpy scalars; each cell is written as its column's
-    # type says (an np.int64 step was once written as 1.0, and np.True_ as 1.0),
-    # so the file reads back, with the same bytes as Python-typed records
+    # the public lists and add_step may take numpy scalars; each cell is written as
+    # its column's type says (an np.int64 step was once written as 1.0, and np.True_
+    # as 1.0), so the file reads back, with the same bytes as Python-typed records
     m = RunMetrics(
-        steps=[(np.int64(1), np.int64(0), np.float64(1.0), np.float64(0.5)), (2, 0, -1.0, 0.25)],
         windows=[(np.int64(0), np.float64(123.456))],
         validations=[(np.int64(300), 200.0, None, np.True_),
                      (400, np.float64(150.5), np.float64(97.25), np.False_)],
         passed=np.int64(321),
         collided=np.int64(9),
     )
+    m.add_step(np.int64(1), np.int64(0), np.float64(1.0), np.float64(0.5))
+    m.add_step(2, 0, -1.0, 0.25)
     plain = RunMetrics(
-        steps=[(1, 0, 1.0, 0.5), (2, 0, -1.0, 0.25)],
         windows=[(0, 123.456)],
         validations=[(300, 200.0, None, True), (400, 150.5, 97.25, False)],
         passed=321,
         collided=9,
     )
+    plain.add_step(1, 0, 1.0, 0.5)
+    plain.add_step(2, 0, -1.0, 0.25)
     write_csv(m, tmp_path / "numpy")
     write_csv(plain, tmp_path / "plain")
     for name in os.listdir(tmp_path / "plain"):
@@ -222,8 +225,13 @@ def test_cell_its_column_cannot_hold_is_refused_at_write_time(tmp_path, family, 
     write_csv(_sample_metrics(), tmp_path)
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
     bad = _sample_metrics()
-    getattr(bad, family).append(record)
     with pytest.raises(error):
+        # a step row goes in through add_step, whose typed columns refuse a cell they
+        # cannot hold, and a row of another width, before write_csv is reached
+        if family == "steps":
+            bad.add_step(*record)
+        else:
+            getattr(bad, family).append(record)
         write_csv(bad, tmp_path)
     after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
     assert after == before  # every file keeps its old bytes, and no temp file is left
@@ -326,3 +334,59 @@ def test_plot_rejects_empty_series(tmp_path):
         plot_svg([], [], tmp_path / "x.svg")
     with pytest.raises(ValueError):
         plot_svg([([], [])], ["empty"], tmp_path / "x.svg")
+
+
+def test_steps_is_a_read_only_view_of_the_ledger():
+    m = RunMetrics()
+    m.add_step(1, 0, 1.0, 0.5)
+    m.add_step(2, 1, -1.0, 0.25)
+    rows = m.steps
+    assert rows == [(1, 0, 1.0, 0.5), (2, 1, -1.0, 0.25)] and rows == m.steps
+    assert [(1, 0, 1.0, 0.5), (2, 1, -1.0, 0.25)] == rows and rows != [(1, 0, 1.0, 0.5)]
+    assert len(rows) == 2 and rows[-1] == (2, 1, -1.0, 0.25) and rows[:1] == [(1, 0, 1.0, 0.5)]
+    assert [type(cell) for cell in rows[0]] == [int, int, float, float]
+    assert not hasattr(rows, "append")
+    with pytest.raises(TypeError):
+        rows[0] = (1, 0, 1.0, 0.5)
+    with pytest.raises(AttributeError):
+        m.steps = []
+    m.add_step(3, 1, 1.0, 0.125)
+    assert len(rows) == 3 and rows[2] == (3, 1, 1.0, 0.125)  # a view, not a copy
+
+
+@pytest.mark.parametrize(
+    "row,error",
+    [
+        ((1.0, 0, 1.0, 0.5), TypeError),  # a float step
+        ((1, None, 1.0, 0.5), TypeError),
+        ((1, 0, None, 0.5), TypeError),
+        ((1, 0, 1.0, "0.5"), TypeError),
+        ((1, 2**63, 1.0, 0.5), OverflowError),
+        ((1, 0, 1.0), ValueError),
+        ((1, 0, 1.0, 0.5, 7), ValueError),
+    ],
+)
+def test_refused_step_row_leaves_no_part_of_itself(row, error):
+    m = _sample_metrics()
+    before = list(m.steps)
+    with pytest.raises(error):
+        m.add_step(*row)
+    # a cell left behind in one column would pair the next row's cells with it
+    m.add_step(101, 7, 1.0, 0.125)
+    assert list(m.steps) == before + [(101, 7, 1.0, 0.125)]
+
+
+def test_step_ledger_holds_at_most_40_bytes_a_step():
+    # 136.5 B a step as a list of tuples; four typed columns hold 32 B and their slack
+    steps = 50_000
+    m = RunMetrics()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for t in range(1, steps + 1):
+            m.add_step(t, t // 37, -1.0 if t % 37 == 0 else 1.0, 0.05 + 1.0 / t)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(m.steps) == steps and m.steps[-1] == (steps, steps // 37, 1.0, 0.05 + 1.0 / steps)
+    assert held / steps <= 40, f"{held / steps:.1f} B a step"

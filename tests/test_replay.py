@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,3 +111,95 @@ def test_terminal_flags_roundtrip():
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         ReplayBuffer(capacity=0, state_dim=1)
+
+
+def _bits(rng, dim):
+    """A 0/1 state as float64, as the DQN encoder gives it."""
+    return (rng.random(dim) < 0.5).astype(np.float64)
+
+
+def _snapshot(buf):
+    rings = (buf.states, buf.actions, buf.rewards, buf.next_states, buf.terminals)
+    return [ring.copy() for ring in rings], buf._cursor, len(buf)
+
+
+def _assert_unchanged(buf, snap):
+    rings, cursor, fill = _snapshot(buf)
+    assert (cursor, fill) == snap[1:]
+    for ring, before in zip(rings, snap[0]):
+        assert ring.dtype == before.dtype and ring.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [(), (np.uint8,)], ids=["float64", "uint8"])
+@pytest.mark.parametrize("which", ["state", "next state"])
+@pytest.mark.parametrize("bad", [np.array([1.0]), np.array([2.0, 3.0, 4.0, 5.0]), np.array(2.0),
+                                 np.zeros((1, 3))], ids=["short", "long", "scalar", "2d"])
+def test_push_refuses_a_state_of_another_shape(dtype, which, bad):
+    # a one-value state was once broadcast across the row and stored as [1, 1, 1]
+    buf = ReplayBuffer(4, 3, *dtype)
+    good = np.zeros(3)
+    state, next_state = (bad, good) if which == "state" else (good, bad)
+    with pytest.raises(ValueError, match=f"{which} has shape"):
+        buf.push(state, 0, 1.0, next_state, False)
+    assert len(buf) == 0 and not buf.states.any() and not buf.next_states.any()
+
+
+@pytest.mark.parametrize("which", ["state", "next state"])
+@pytest.mark.parametrize("value", [0.5, -1.0, 256.0, np.nan, np.inf, -np.inf, 1e300, -1, 256])
+def test_uint8_store_refuses_a_value_it_cannot_hold_and_keeps_a_full_ring(which, value):
+    rng = np.random.default_rng(5)
+    buf = ReplayBuffer(4, 6, np.uint8)
+    for tag in range(6):  # wrapped: the slot under the cursor holds the oldest live row
+        buf.push(_bits(rng, 6), tag % 3, float(tag), _bits(rng, 6), tag % 2 == 0)
+    snap = _snapshot(buf)
+    bad = np.zeros(6, dtype=type(value))
+    bad[4] = value
+    state, next_state = (bad, _bits(rng, 6)) if which == "state" else (_bits(rng, 6), bad)
+    with pytest.raises(ValueError, match=rf"{which} value {re.escape(repr(value))} .*uint8"):
+        buf.push(state, 2, 1.0, next_state, True)
+    _assert_unchanged(buf, snap)
+
+
+def test_uint8_store_refuses_a_state_of_another_shape_and_keeps_a_full_ring():
+    rng = np.random.default_rng(6)
+    buf = ReplayBuffer(3, 5, np.uint8)
+    for tag in range(4):
+        buf.push(_bits(rng, 5), tag % 3, 1.0, _bits(rng, 5), False)
+    snap = _snapshot(buf)
+    for state, next_state in ((_bits(rng, 4), _bits(rng, 5)), (_bits(rng, 5), _bits(rng, 6))):
+        with pytest.raises(ValueError, match="has shape"):
+            buf.push(state, 1, -1.0, next_state, True)
+        _assert_unchanged(buf, snap)
+
+
+def test_uint8_store_takes_every_value_it_holds_exactly():
+    buf = ReplayBuffer(2, 4, np.uint8)
+    for state in (np.array([0.0, 1.0, 255.0, -0.0]), np.array([0, 1, 255, 7]),
+                  np.array([True, False, True, True])):
+        buf.push(state, 0, 1.0, state, False)
+        assert buf.states[(buf._cursor - 1) % 2].tolist() == np.asarray(state, float).tolist()
+
+
+def test_float64_store_holds_any_float():
+    buf = ReplayBuffer(2, 3)
+    buf.push(np.array([0.5, np.nan, -np.inf]), 0, 1.0, np.array([-1.0, 256.0, 1e300]), False)
+    assert buf.states[0].tobytes() == np.array([0.5, np.nan, -np.inf]).tobytes()
+    assert buf.next_states[0].tolist() == [-1.0, 256.0, 1e300]
+
+
+@pytest.mark.parametrize("capacity,pushes", [(50, 30), (50, 175)], ids=["filling", "wrapped"])
+def test_uint8_store_samples_the_float64_batches_of_a_float64_store(capacity, pushes):
+    rng = np.random.default_rng(11)
+    stores = ReplayBuffer(capacity, 43, np.uint8), ReplayBuffer(capacity, 43)
+    for tag in range(pushes):
+        transition = (_bits(rng, 43), tag % 3, (1.0, -1.0)[tag % 7 == 0], _bits(rng, 43),
+                      tag % 7 == 0)
+        for buf in stores:
+            buf.push(*transition)
+    assert stores[0].states.nbytes * 8 == stores[1].states.nbytes
+    for seed in range(5):
+        small, wide = (buf.sample(32, np.random.default_rng(seed)) for buf in stores)
+        for got, want in zip(small, wide):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert small.states.dtype == small.next_states.dtype == np.float64

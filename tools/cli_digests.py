@@ -6,10 +6,18 @@ Run from the root of a checkout; the commands use that checkout's `src/`:
 
 OUT must be empty or absent. Each command runs with OUT as its working
 directory and relative paths, so its stdout names the same files in any
-checkout. One `sha256  path` line is printed per command's stdout
-(`<name>/stdout`) and per file the commands wrote, in a fixed order.
-Diffing the output of two checkouts shows whether a change moved any
-seeded result.
+checkout. The first line names the numpy version and BLAS build, on which
+seeded results depend; then one `sha256  path` line is printed per command's
+stdout (`<name>/stdout`) and per file the commands wrote, in a fixed order.
+Diffing the output of two checkouts shows whether a change moved any seeded
+result.
+
+`tests/cli_digests.txt` is this output at the current commit, and
+`tests/test_cli_digests.py` checks it on every test run, through
+`deepcars.cli.run` in-process. A change that means to move a seeded result
+rewrites it with
+
+    python3 tools/cli_digests.py "$(mktemp -d)" > tests/cli_digests.txt
 """
 
 from __future__ import annotations
@@ -47,6 +55,10 @@ COMMANDS = (
                        "--fast-val-episodes", "2", "--seed", "12", "--out", "dqn-emptyroad"]),
     ("dqn", ["train-dqn", "--hidden", "16,16", "--steps", "4000", "--seed", "5",
              "--fast-val-period", "1000", "--fast-val-episodes", "5", "--out", "dqn"]),
+    # a ring of 1000 that wraps twice, so the oldest transitions are overwritten
+    ("ddqn-ring", ["train-dqn", "--arch", "ddqn16x16", "--replay-capacity", "1000",
+                   "--learn-start", "500", "--steps", "3000", "--fast-val-period", "1000",
+                   "--fast-val-episodes", "5", "--seed", "13", "--out", "ddqn-ring"]),
     ("medium", ["train-dqn", "--arch", "medium", "--steps", "3000", "--seed", "3",
                 "--fast-val-period", "1000", "--fast-val-episodes", "5", "--out", "medium"]),
     ("eval-tab", ["evaluate", "--model", "tab/qtable.txt", "--lanes", "3", "--steps", "20000",
@@ -75,6 +87,28 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def build() -> str:
+    """The header line: the numpy version and BLAS build the digests hold for."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+
+
+def digest_lines(out, run):
+    """The digest lines of COMMANDS, run in order by `run(args)` with the
+    directory `out` as working directory; `run` returns the command's stdout
+    bytes and raises if it fails."""
+    for name, args in COMMANDS:
+        yield f"{sha256(run(args))}  {name}/stdout"
+        for root, dirs, files in os.walk(os.path.join(out, name)):
+            dirs.sort()
+            for file in sorted(files):
+                path = os.path.join(root, file)
+                with open(path, "rb") as fh:
+                    yield f"{sha256(fh.read())}  {os.path.relpath(path, out)}"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -91,21 +125,22 @@ def main(argv=None) -> int:
         print(f"error: {out} is not empty", file=sys.stderr)
         return 2
     env = dict(os.environ, PYTHONPATH=src)
-    for name, args in COMMANDS:
+
+    def run(args):
         proc = subprocess.run([sys.executable, "-m", "deepcars.cli", *args], cwd=out, env=env,
                               capture_output=True)
         if proc.returncode != 0:
-            print(f"error: {name} exited {proc.returncode}: {proc.stderr.decode().strip()}",
-                  file=sys.stderr)
-            return 1
-        print(f"{sha256(proc.stdout)}  {name}/stdout")
-        written = os.path.join(out, name)
-        for root, dirs, files in os.walk(written):
-            dirs.sort()
-            for file in sorted(files):
-                path = os.path.join(root, file)
-                with open(path, "rb") as fh:
-                    print(f"{sha256(fh.read())}  {os.path.relpath(path, out)}")
+            raise RuntimeError(f"deepcars {' '.join(args)} exited {proc.returncode}: "
+                               f"{proc.stderr.decode().strip()}")
+        return proc.stdout
+
+    print(build())
+    try:
+        for line in digest_lines(out, run):
+            print(line, flush=True)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
