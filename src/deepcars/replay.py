@@ -33,6 +33,9 @@ class ReplayBuffer:
         self.rewards = np.zeros(capacity)
         self.next_states = np.zeros((capacity, state_dim), dtype)
         self.terminals = np.zeros(capacity, dtype=bool)
+        # the row shape and dtype `push` checks against, kept apart because
+        # reading them off `states` on every push costs more than the check
+        self._row_shape, self._dtype = self.states.shape[1:], self.states.dtype
         self._cursor = 0
         self._fill = 0
 
@@ -43,19 +46,18 @@ class ReplayBuffer:
         """`row` as the store's dtype; ValueError unless it is one row of
         `state_dim` values that the dtype holds exactly."""
         row = np.asarray(row)
-        store = self.states
-        if row.shape != store.shape[1:]:
+        if row.shape != self._row_shape:
             raise ValueError(f"{name} has shape {row.shape}, the store holds rows of shape "
-                             f"{store.shape[1:]}")
+                             f"{self._row_shape}")
         try:
-            return row.astype(store.dtype, casting="same_value", copy=False)
+            return row.astype(self._dtype, casting="same_value", copy=False)
         except ValueError:
             with np.errstate(invalid="ignore"):  # nan and inf cast with a warning
-                changed = row[row.astype(store.dtype).astype(row.dtype) != row]
+                changed = row[row.astype(self._dtype).astype(row.dtype) != row]
             if not changed.size:
                 raise
             raise ValueError(f"{name} value {changed[0].item()!r} is not exactly "
-                             f"representable as {store.dtype}") from None
+                             f"representable as {self._dtype}") from None
 
     def push(
         self, state: np.ndarray, action: int, reward: float, next_state: np.ndarray, terminal: bool

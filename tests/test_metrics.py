@@ -1,6 +1,6 @@
 import os
-import tracemalloc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest

@@ -27,6 +27,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 # (name, argv); a command writes its artifacts under its own name
 COMMANDS = (
     ("tab", ["train-tabular", "--lanes", "3", "--steps", "20000", "--seed", "1", "--out", "tab"]),
@@ -89,8 +91,6 @@ def sha256(data: bytes) -> str:
 
 def build() -> str:
     """The header line: the numpy version and BLAS build the digests hold for."""
-    import numpy as np
-
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
 
