@@ -80,7 +80,7 @@ def _add_fields(parser, cls, groups=None):
 
 
 def parse_kv_file(path) -> dict:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise CliUsageError(f"config file not found: {path}")
     values = {}
     with open(path) as fh:
@@ -205,7 +205,7 @@ def cmd_train_dqn(args) -> int:
 def _load_model(path, config: EnvConfig):
     """The greedy `(act, encode)` pair of the model in `path` (an MLP or a q-table, told
     apart by the file header) on `config`; its `greedy_policy` refuses a misfit."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise CliUsageError(f"model file not found: {path}")
     with open(path) as fh:
         first = fh.readline()
@@ -260,7 +260,7 @@ def cmd_demo(args) -> int:
 def cmd_plot(args) -> int:
     series = []
     for path in args.csv:
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise CliUsageError(f"csv file not found: {path}")
         series.append(metrics_mod.read_series(path))
     labels = [os.path.splitext(os.path.basename(path))[0] for path in args.csv]
@@ -337,15 +337,11 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except net.NumericError as exc:  # diverged training and friends
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # CliUsageError, ConfigError, ModelFormatError and friends
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failures
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # a ValueError (CliUsageError, ConfigError, ModelFormatError and friends) is a usage
+        # error; diverged training (NumericError) and anything else are runtime failures
+        return 2 if isinstance(exc, ValueError) and not isinstance(exc, net.NumericError) else 1
 
 
 def main() -> None:

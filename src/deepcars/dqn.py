@@ -226,14 +226,18 @@ class DqnTrainer:
                 mean_validation_reward=mean_reward,
                 training_step=step,
             )
-        self.metrics.add_validation(step, mean_reward, run.accuracy(), is_best)
+        self.metrics.validations.append((step, mean_reward, run.accuracy(), is_best))
 
     def run(self) -> tuple[Checkpoint, MlpParams, RunMetrics]:
-        while self.step_index < self.hp.train_steps:
+        hp = self.hp
+        if hp.train_steps < hp.learn_start:  # the first gradient step comes at step learn_start
+            raise ValueError(f"train_steps {hp.train_steps} is below learn_start {hp.learn_start}: "
+                             "training would never learn")
+        while self.step_index < hp.train_steps:
             self.train_step()
         if self.best is None:
             # short runs that never hit a validation period still get a checkpoint
-            self._validation_phase(self.step_index, self.hp.fast_validation_episodes)
+            self._validation_phase(self.step_index, hp.fast_validation_episodes)
         return self.best, self.online, self.metrics
 
 
@@ -241,7 +245,4 @@ def train_dqn(
     config: EnvConfig, hp: DqnHyperparams, seed: int
 ) -> tuple[Checkpoint, MlpParams, RunMetrics]:
     """Full training loop; returns (best checkpoint, final params, metrics)."""
-    if hp.train_steps < hp.learn_start:  # the first gradient step comes at step learn_start
-        raise ValueError(f"train_steps {hp.train_steps} is below learn_start {hp.learn_start}: "
-                         "training would never learn")
     return DqnTrainer(config, hp, seed).run()

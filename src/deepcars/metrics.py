@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import pairwise
 from operator import index
@@ -35,37 +34,9 @@ def _step_columns(cells=((),) * len(_STEP_COLUMNS)):
     return tuple(array(_TYPECODES[kind], column) for (_, kind), column in zip(_STEP_COLUMNS, cells))
 
 
-class _StepRows(Sequence):
-    """A read-only view of the step columns as (step, episode, reward, epsilon) rows;
-    it holds no row of its own, and equals another view or a list of the same rows."""
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, columns):
-        self._columns = columns
-
-    def __len__(self):
-        return len(self._columns[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(zip(*(column[i] for column in self._columns)))
-        return tuple(column[i] for column in self._columns)
-
-    def __iter__(self):
-        return zip(*self._columns)
-
-    def __eq__(self, other):
-        if isinstance(other, _StepRows):
-            return self._columns == other._columns
-        return list(self) == other if isinstance(other, list) else NotImplemented
-
-    def __repr__(self):
-        return f"_StepRows({list(self)!r})"
-
-
 @dataclass
 class RunMetrics:
+    # windows and validations are appended to directly; write_csv refuses a bad cell
     windows: list = field(default_factory=list)  # (window, mean_reward)
     validations: list = field(default_factory=list)  # (step, mean_rew, acc, is_best)
     passed: int = 0
@@ -76,9 +47,9 @@ class RunMetrics:
     _steps: tuple = field(default_factory=_step_columns, init=False, repr=False)
 
     @property
-    def steps(self) -> _StepRows:
-        """The booked steps as (step, episode, reward, epsilon) rows, read-only."""
-        return _StepRows(self._steps)
+    def steps(self) -> list:
+        """A new list of the booked (step, episode, reward, epsilon) rows; no run reads it."""
+        return list(zip(*self._steps))
 
     def record(self, step, outcome, epsilon):
         """Book one environment step: its row, then its tally."""
@@ -97,7 +68,7 @@ class RunMetrics:
             self._episode_reward = 0.0
             if self.episode % WINDOW_EPISODES == 0:
                 block = self.episode_rewards[-WINDOW_EPISODES:]
-                self.add_window(self.episode // WINDOW_EPISODES - 1, float(np.mean(block)))
+                self.windows.append((self.episode // WINDOW_EPISODES - 1, float(np.mean(block))))
 
     def add_step(self, *row):
         """Append one (step, episode, reward, epsilon) row. A row of another width
@@ -114,14 +85,6 @@ class RunMetrics:
             for column in columns:
                 del column[len(epsilons):]
             raise
-
-    # add_window and add_validation append as given; write_csv refuses a cell its
-    # column's type cannot hold
-    def add_window(self, window, mean_reward):
-        self.windows.append((window, mean_reward))
-
-    def add_validation(self, step, mean_reward, accuracy_pct, is_new_best):
-        self.validations.append((step, mean_reward, accuracy_pct, is_new_best))
 
     def accuracy(self):
         return accuracy(self.passed, self.collided)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .env import Action, is_integer
+
+# the action codes and reward types `push` takes, built once: built per push they are slow
+_ACTIONS, _REALS = range(len(Action)), (int, float, np.integer, np.floating)
 
 
 class Batch(NamedTuple):
@@ -20,8 +26,8 @@ class ReplayBuffer:
 
     States are stored as `dtype`: the DQN trainer's 0/1 states fit in uint8, an
     eighth of float64's bytes. `push` takes only states the store holds exactly,
-    and `sample` returns them as float64, so a batch has the same bits whatever
-    the store's dtype.
+    `Action` codes, finite rewards and bool terminals, and `sample` returns states
+    as float64, so a batch has the same bits whatever the store's dtype.
     """
 
     def __init__(self, capacity: int, state_dim: int, dtype=np.float64):
@@ -62,9 +68,15 @@ class ReplayBuffer:
     def push(
         self, state: np.ndarray, action: int, reward: float, next_state: np.ndarray, terminal: bool
     ) -> None:
-        # both states are checked before any row is written, so a refused push
-        # leaves the ring as it was
+        # every field is checked before any is written, so a refused push leaves
+        # the ring as it was
         state, next_state = self._held("state", state), self._held("next state", next_state)
+        if not (type(action) is int or is_integer(action)) or action not in _ACTIONS:
+            raise ValueError(f"action must be an integer in 0 .. {_ACTIONS[-1]}, got {action!r}")
+        if not isinstance(reward, _REALS) or not math.isfinite(reward):
+            raise ValueError(f"reward must be a finite number, got {reward!r}")
+        if not isinstance(terminal, (bool, np.bool_)):
+            raise ValueError(f"terminal must be a bool, got {terminal!r}")
         i = self._cursor
         self.states[i] = state
         self.actions[i] = action

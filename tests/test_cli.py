@@ -7,8 +7,8 @@ from xml.dom import minidom
 import pytest
 
 import deepcars
-from deepcars import net, tabular
-from deepcars.cli import ARCH_PRESETS, build_parser, run
+from deepcars import cli, net, tabular
+from deepcars.cli import ARCH_PRESETS, CliUsageError, build_parser, run
 from deepcars.metrics import read_csv
 
 
@@ -323,6 +323,40 @@ def test_missing_model_is_usage_error(tmp_path, capsys):
     code = run(["evaluate", "--model", str(tmp_path / "nope.model"), "--steps", "10"])
     assert code == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,kind", [
+    (["evaluate", "--steps", "10", "--model"], "model"),
+    (["train-tabular", "--steps", "10", "--config"], "config"),
+    (["plot", "-o", "{out}/x.svg"], "csv"),
+])
+def test_directory_as_input_file_is_usage_error(tmp_path, capsys, command, kind):
+    # a directory once got past the existence check and failed to open, exit 1
+    given = tmp_path / "given"
+    given.mkdir()
+    out = tmp_path / "out"
+    argv = [arg.format(out=out) for arg in command] + [str(given)]
+    if command[0] == "train-tabular":
+        argv += ["--out", str(out)]
+    assert run(argv) == 2
+    assert f"{kind} file not found: {given}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error,code", [
+    (CliUsageError("bad flag"), 2),
+    (ValueError("bad value"), 2),
+    (net.NumericError("diverged"), 1),
+    (OSError("disk full"), 1),
+    (RuntimeError("broken"), 1),
+])
+def test_a_usage_error_exits_2_and_any_other_failure_1(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_plot", fail)
+    assert run(["plot", "x.csv", "-o", "x.svg"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_evaluate_prints_accuracy(tmp_path, capsys):

@@ -388,6 +388,16 @@ def test_train_dqn_that_could_never_learn_is_refused():
     assert trainer.opt.step_count == 1
 
 
+def test_trainer_run_that_could_never_learn_is_refused_before_a_step():
+    # run() once returned a "best" checkpoint of a net that took no gradient step
+    trainer = DqnTrainer(SMALL_CFG, replace(SMALL_HP, train_steps=199), seed=1)
+    with pytest.raises(ValueError, match="train_steps 199 .*learn_start 200"):
+        trainer.run()
+    assert trainer.step_index == 0 and trainer.best is None and trainer.metrics.steps == []
+    trainer.train_step()  # stepping by hand, to watch rollouts without learning, still works
+    assert trainer.step_index == 1 and trainer.opt.step_count == 0
+
+
 @pytest.mark.parametrize(
     "duplicate",
     [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],

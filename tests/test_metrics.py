@@ -80,10 +80,9 @@ def _sample_metrics(with_none_accuracy=False):
         m.add_step(step, episode, float(rng.choice([1.0, -1.0])), float(rng.random()))
         if step % 17 == 0:
             episode += 1
-    m.add_window(0, 123.456)
-    m.add_window(1, -7.0)
-    m.add_validation(50, 198.5, 97.25, True)
-    m.add_validation(100, 150.0, None if with_none_accuracy else 99.0, False)
+    m.windows += [(0, 123.456), (1, -7.0)]
+    m.validations += [(50, 198.5, 97.25, True),
+                      (100, 150.0, None if with_none_accuracy else 99.0, False)]
     m.passed = 321
     m.collided = 9
     return m
@@ -336,22 +335,22 @@ def test_plot_rejects_empty_series(tmp_path):
         plot_svg([([], [])], ["empty"], tmp_path / "x.svg")
 
 
-def test_steps_is_a_read_only_view_of_the_ledger():
+def test_steps_is_a_new_list_of_the_booked_rows():
+    booked = [(1, 0, 1.0, 0.5), (2, 1, -1.0, 0.25)]
     m = RunMetrics()
-    m.add_step(1, 0, 1.0, 0.5)
-    m.add_step(2, 1, -1.0, 0.25)
+    for row in booked:
+        m.add_step(*row)
     rows = m.steps
-    assert rows == [(1, 0, 1.0, 0.5), (2, 1, -1.0, 0.25)] and rows == m.steps
-    assert [(1, 0, 1.0, 0.5), (2, 1, -1.0, 0.25)] == rows and rows != [(1, 0, 1.0, 0.5)]
-    assert len(rows) == 2 and rows[-1] == (2, 1, -1.0, 0.25) and rows[:1] == [(1, 0, 1.0, 0.5)]
-    assert [type(cell) for cell in rows[0]] == [int, int, float, float]
-    assert not hasattr(rows, "append")
-    with pytest.raises(TypeError):
-        rows[0] = (1, 0, 1.0, 0.5)
+    assert type(rows) is list and rows == booked and rows is not m.steps
+    assert [[type(cell) for cell in row] for row in rows] == [[int, int, float, float]] * 2
+    rows[0] = (9, 9, 9.0, 9.0)
+    rows.append((3, 1, 1.0, 0.125))
+    del rows[1]
+    assert m.steps == booked  # a copy: changing it leaves the ledger as it was
     with pytest.raises(AttributeError):
         m.steps = []
     m.add_step(3, 1, 1.0, 0.125)
-    assert len(rows) == 3 and rows[2] == (3, 1, 1.0, 0.125)  # a view, not a copy
+    assert m.steps == booked + [(3, 1, 1.0, 0.125)]  # built anew on each read
 
 
 @pytest.mark.parametrize(

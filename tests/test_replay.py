@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deepcars.env import Action
 from deepcars.replay import Batch, ReplayBuffer
 
 
@@ -170,6 +171,36 @@ def test_uint8_store_refuses_a_state_of_another_shape_and_keeps_a_full_ring():
         with pytest.raises(ValueError, match="has shape"):
             buf.push(state, 1, -1.0, next_state, True)
         _assert_unchanged(buf, snap)
+
+
+@pytest.mark.parametrize("dtype", [(), (np.uint8,)], ids=["float64", "uint8"])
+@pytest.mark.parametrize("field,value", [
+    *(("action", v) for v in (7.9, 1.0, -1, 3, np.int64(3), True, "1", None)),
+    *(("reward", v) for v in (np.nan, np.inf, -np.inf, np.float32(np.nan), "1.0", None, 1j)),
+    *(("terminal", v) for v in ("yes", 1, 0, 1.0, None, np.int64(1))),
+])
+def test_push_refuses_a_field_out_of_its_kind_and_keeps_a_full_ring(dtype, field, value):
+    # each was once stored as given: 7.9 as action 7, -1 as the last action, "yes" as True
+    rng = np.random.default_rng(7)
+    buf = ReplayBuffer(3, 4, *dtype)
+    for tag in range(5):
+        buf.push(_bits(rng, 4), tag % 3, float(tag), _bits(rng, 4), tag % 2 == 0)
+    snap = _snapshot(buf)
+    fields = {"action": 1, "reward": -1.0, "terminal": True, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        buf.push(_bits(rng, 4), fields["action"], fields["reward"], _bits(rng, 4),
+                 fields["terminal"])
+    _assert_unchanged(buf, snap)
+
+
+def test_push_takes_numpy_and_enum_fields():
+    buf = ReplayBuffer(4, 1)
+    for action, reward, terminal in ((np.int64(2), np.float32(0.5), np.bool_(True)),
+                                     (Action.LEFT, -1, False), (np.uint8(1), np.int64(3), True)):
+        buf.push(np.zeros(1), action, reward, np.zeros(1), terminal)
+    assert _stored(buf, buf.actions) == [2, 0, 1]
+    assert _stored(buf, buf.rewards) == [0.5, -1.0, 3.0]
+    assert _stored(buf, buf.terminals) == [True, False, True]
 
 
 def test_uint8_store_takes_every_value_it_holds_exactly():

@@ -18,9 +18,9 @@ ones. The record holds every run's end-to-end metrics; per batch and metric,
 each side's median and quartiles, the head's wins (ties count for neither),
 the median difference, whether it exceeds the base's interquartile range, and
 whether a gain may be claimed (9 of 10 pairs won and that margin); both
-commits, with a digest of the sources that ran; and the machine record of the
-first run. The metrics, their better direction and their bounds come from the
-head's BENCHMARK.json.
+commits, with a digest and the line count of the sources that ran; and the
+machine record of the first run. The metrics, their better direction and their
+bounds come from the head's BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -42,17 +42,28 @@ def _git(cwd, *args) -> str:
                           text=True).stdout.strip()
 
 
-def src_digest(root) -> str:
-    """sha256 over the relative paths and bytes of the .py files under src/."""
-    h = hashlib.sha256()
+def _src_files(root):
+    """(relative path, bytes) of each .py file under src/, in a fixed order."""
     for dirpath, dirnames, files in os.walk(os.path.join(root, "src")):
         dirnames.sort()
         for name in sorted(f for f in files if f.endswith(".py")):
             path = os.path.join(dirpath, name)
-            h.update(os.path.relpath(path, root).encode() + b"\0")
             with open(path, "rb") as fh:
-                h.update(fh.read())
+                yield os.path.relpath(path, root), fh.read()
+
+
+def src_digest(root) -> str:
+    """sha256 over the relative paths and bytes of the .py files under src/."""
+    h = hashlib.sha256()
+    for rel, data in _src_files(root):
+        h.update(rel.encode() + b"\0")
+        h.update(data)
     return h.hexdigest()
+
+
+def src_lines(root) -> int:
+    """Total line count of the .py files under src/, as `wc -l` counts them."""
+    return sum(data.count(b"\n") for _, data in _src_files(root))
 
 
 def checkout(side: str, where: str) -> tuple[str, dict]:
@@ -69,7 +80,8 @@ def checkout(side: str, where: str) -> tuple[str, dict]:
         tar = subprocess.run(["git", "archive", commit], check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
             archive.extractall(path, filter="data")
-    return path, {"commit": commit, "dirty": dirty, "src_sha256": src_digest(path)}
+    return path, {"commit": commit, "dirty": dirty, "src_sha256": src_digest(path),
+                  "src_lines": src_lines(path)}
 
 
 def run_bench(root, workload, seed, seconds) -> dict:
