@@ -323,6 +323,8 @@ def plot_svg(series, labels, path, title: str = "") -> None:
         ys = np.asarray(ys, dtype=np.float64)
         if xs.size == 0 or xs.size != ys.size:
             raise ValueError(f"series {i} is empty or has mismatched lengths")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError(f"series {i} ({labels[i]!r}) holds a non-finite value")
         clean.append((xs, ys))
 
     xmin = min(float(xs.min()) for xs, _ in clean)

@@ -73,7 +73,8 @@ class ReplayBuffer:
         state, next_state = self._held("state", state), self._held("next state", next_state)
         if not (type(action) is int or is_integer(action)) or action not in _ACTIONS:
             raise ValueError(f"action must be an integer in 0 .. {_ACTIONS[-1]}, got {action!r}")
-        if not isinstance(reward, _REALS) or not math.isfinite(reward):
+        # a bool is an int, so True would be stored as a reward of 1.0
+        if not isinstance(reward, _REALS) or type(reward) is bool or not math.isfinite(reward):
             raise ValueError(f"reward must be a finite number, got {reward!r}")
         if not isinstance(terminal, (bool, np.bool_)):
             raise ValueError(f"terminal must be a bool, got {terminal!r}")

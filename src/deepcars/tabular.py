@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,18 +18,25 @@ TabularState = tuple[int, ...]
 # has never seen reads _ZERO_Q and is not inserted
 QTable = dict[TabularState, list[float]]
 _ZERO_Q = (0.0, 0.0, 0.0)
+# the most states `encode_tabular` keeps encoded, least recently used out first
+_ENCODE_CACHE_SIZE = 4096
 
 
 def encode_tabular(state: DeepCarsEnv | EnvState) -> TabularState:
     """Ego lane, then per lane the rows between the ego row and the closest car
     at or ahead of it (0 = a car beside the ego); a lane with no visible car
     reads `rows`. Reads the `cells`, `lanes` and `ego_lane` of a live env or a
-    snapshot."""
-    cells = state.cells
-    lanes = state.lanes
+    snapshot. Equal states share one tuple while the bounded cache holds it."""
+    return _encode(state.cells, state.lanes, state.ego_lane)
+
+
+# a greedy 3-lane run meets ~1.1k distinct states; `lanes` is in the key, as
+# the cells of 8x3 and 6x4 worlds are both 24 bytes
+@functools.lru_cache(maxsize=_ENCODE_CACHE_SIZE)
+def _encode(cells: bytes, lanes: int, ego_lane: int) -> TabularState:
     last_row = len(cells) // lanes - 1
     # rfind gives the row of a lane's nearest car, or -1 for none, which reads `rows`
-    return (int(state.ego_lane), *[last_row - cells[lane::lanes].rfind(1) for lane in range(lanes)])
+    return (int(ego_lane), *[last_row - cells[lane::lanes].rfind(1) for lane in range(lanes)])
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 
 from deepcars.dqn import dqn_state_size, encode_dqn, lane_bit_width
 from deepcars.env import CHUNK, ConfigError, DeepCarsEnv, EnvConfig, EnvState, render_ascii
+from deepcars import tabular
 from deepcars.tabular import encode_tabular
 
 from helpers import (
@@ -89,6 +90,60 @@ def test_tabular_state_is_a_tuple_of_python_ints(ego):
         assert type(got) is tuple
         assert [type(v) for v in got] == [int] * 6
         assert got == (2, 8, 4, 8, 8, 8)
+
+
+def test_tabular_cache_keeps_worlds_of_equal_cell_bytes_apart():
+    # 8x3, 6x4 and 4x6 worlds all have 24 cells, so the same bytes and ego lane
+    # reach the cache from each; only the lane count tells their states apart
+    tabular._encode.cache_clear()
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        cells = (rng.random(24) < 0.3).astype(np.uint8)
+        for ego in range(3):
+            for shape in ((8, 3), (6, 4), (4, 6), (8, 3)):
+                grid = cells.reshape(shape)
+                want = (ego, *naive_tabular_distances(grid))
+                assert encode_tabular(_state(grid, ego)) == want
+                assert encode_tabular(_env_at(grid, ego)) == want
+
+
+def test_tabular_cache_is_bounded_and_reencodes_an_evicted_state():
+    size = tabular._ENCODE_CACHE_SIZE
+    assert tabular._encode.cache_info().maxsize == size
+    tabular._encode.cache_clear()
+    # the bits of k, one per cell of an 8x5 grid: size + 100 distinct states
+    grids = [np.array([(k >> i) & 1 for i in range(40)], np.uint8).reshape(8, 5)
+             for k in range(size + 100)]
+    for k, grid in enumerate(grids):
+        assert encode_tabular(_state(grid, k % 5)) == (k % 5, *naive_tabular_distances(grid))
+    assert tabular._encode.cache_info().currsize == size
+    # the earliest 100 were pushed out: each is encoded afresh, and right
+    misses = tabular._encode.cache_info().misses
+    for k, grid in enumerate(grids[:100]):
+        assert encode_tabular(_state(grid, k % 5)) == (k % 5, *naive_tabular_distances(grid))
+    assert tabular._encode.cache_info().misses == misses + 100
+    assert tabular._encode.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("world", [dict(lanes=3), dict(lanes=5), dict(rows=3, lanes=2)],
+                         ids=["3x8", "5x8", "2x3"])
+def test_tabular_cache_serves_a_live_env_and_its_snapshot_alike(world):
+    tabular._encode.cache_clear()
+    config = EnvConfig(**world)
+    env = DeepCarsEnv(config)
+    rng = np.random.default_rng(5)
+    for episode in range(20):
+        env.reset(episode)
+        t = 0
+        while not env.terminal:
+            # the live env first on even steps, its snapshot first on odd ones
+            sources = (env, env.state) if t % 2 == 0 else (env.state, env)
+            first, second = (encode_tabular(source) for source in sources)
+            assert first == (env.ego_lane, *naive_tabular_distances(env.grid))
+            assert second is first  # one shared tuple
+            assert [type(v) for v in first] == [int] * (config.lanes + 1)
+            env.step(int(rng.integers(0, 3)))
+            t += 1
 
 
 def _raw_state(grid, ego):

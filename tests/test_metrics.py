@@ -335,6 +335,19 @@ def test_plot_rejects_empty_series(tmp_path):
         plot_svg([([], [])], ["empty"], tmp_path / "x.svg")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+@pytest.mark.parametrize("axis", ["xs", "ys"])
+def test_plot_refuses_a_non_finite_value_and_names_its_series(tmp_path, bad, axis):
+    # once written as "nan" or "inf" coordinates, with only a RuntimeWarning
+    values = [0.0, bad, 2.0]
+    series = [([0, 1, 2], [0.0, 1.0, 2.0]),
+              (values, [0.0, 1.0, 2.0]) if axis == "xs" else ([0, 1, 2], values)]
+    path = tmp_path / "x.svg"
+    with pytest.raises(ValueError, match=r"^series 1 \('second'\) holds a non-finite value"):
+        plot_svg(series, ["first", "second"], path)
+    assert not path.exists()
+
+
 def test_steps_is_a_new_list_of_the_booked_rows():
     booked = [(1, 0, 1.0, 0.5), (2, 1, -1.0, 0.25)]
     m = RunMetrics()
