@@ -132,7 +132,7 @@ def test_tabular_cache_serves_a_live_env_and_its_snapshot_alike(world):
     config = EnvConfig(**world)
     env = DeepCarsEnv(config)
     rng = np.random.default_rng(5)
-    for episode in range(20):
+    for episode in range(100):
         env.reset(episode)
         t = 0
         while not env.terminal:

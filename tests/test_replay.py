@@ -176,9 +176,9 @@ def test_uint8_store_refuses_a_state_of_another_shape_and_keeps_a_full_ring():
 @pytest.mark.parametrize("dtype", [(), (np.uint8,)], ids=["float64", "uint8"])
 @pytest.mark.parametrize("field,value", [
     *(("action", v) for v in (7.9, 1.0, -1, 3, np.int64(3), True, "1", None)),
-    *(("reward", v) for v in (np.nan, np.inf, -np.inf, np.float32(np.nan), "1.0", None, 1j,
-                              True, False, np.bool_(True))),
+    *(("reward", v) for v in (np.nan, np.inf, -np.inf, np.float32(np.nan), "1.0", None, 1j)),
     *(("terminal", v) for v in ("yes", 1, 0, 1.0, None, np.int64(1))),
+    *(("reward", v) for v in (True, False, np.bool_(True))),
 ])
 def test_push_refuses_a_field_out_of_its_kind_and_keeps_a_full_ring(dtype, field, value):
     # each was once stored as given: 7.9 as action 7, -1 as the last action, "yes" as True,
