@@ -11,7 +11,7 @@ import numpy as np
 
 from . import net
 from .env import (
-    Action, DeepCarsEnv, EnvConfig, EnvState, Episodes, check_integer_fields, is_integer,
+    ACTIONS, DeepCarsEnv, EnvConfig, EnvState, Episodes, check_integer_fields, is_integer,
     roll_seed,
 )
 from .metrics import RunMetrics
@@ -133,8 +133,8 @@ def greedy_policy(params: MlpParams, config: EnvConfig):
     if inputs != expected:
         raise net.ShapeError(f"model expects input size {inputs}, "
                              f"environment produces {expected}; adjust --lanes/--rows")
-    if outputs != len(Action):
-        raise net.ShapeError(f"model has {outputs} outputs, one per action needs {len(Action)}")
+    if outputs != len(ACTIONS):
+        raise net.ShapeError(f"model has {outputs} outputs, one per action needs {len(ACTIONS)}")
     return lambda vec: greedy_action(params, vec), encode_dqn
 
 
@@ -157,7 +157,7 @@ class DqnTrainer:
         self.config = config
         self.hp = hp
         state_dim = dqn_state_size(config)
-        dims = [state_dim, *hp.hidden_layers, 3]
+        dims = [state_dim, *hp.hidden_layers, len(ACTIONS)]
 
         seq = np.random.SeedSequence(seed).spawn(4)
         init_seed = roll_seed(np.random.default_rng(seq[0]))
@@ -200,7 +200,7 @@ class DqnTrainer:
     def _act(self, vec: np.ndarray) -> int:
         # epsilon-greedy; the action generator draws on every step
         if self.action_rng.random() < epsilon_at(self.hp, self.step_index):
-            return int(self.action_rng.integers(0, 3))
+            return int(self.action_rng.integers(0, len(ACTIONS)))
         return greedy_action(self.online, vec)
 
     def _gradient_step(self) -> None:

@@ -87,18 +87,12 @@ class RunMetrics:
             raise
 
     def accuracy(self):
-        return accuracy(self.passed, self.collided)
-
-
-def accuracy(passed: int, collided: int):
-    """Percentage of cars passed among all resolved cars; None when no car resolved.
-
-    The undefined case is reported as n/a downstream, never as 0 or 100.
-    """
-    total = passed + collided
-    if total < 1:
-        return None
-    return 100.0 * passed / total
+        """Percentage of cars passed among all resolved cars; None when no car
+        resolved, which is reported as n/a downstream, never as 0 or 100."""
+        total = self.passed + self.collided
+        if total < 1:
+            return None
+        return 100.0 * self.passed / total
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +180,21 @@ def _csv_lines(columns, cells):
 
 
 def write_csv(metrics: RunMetrics, out_dir) -> None:
+    """Write one CSV per family. A bad cell raises before any file is replaced:
+    the small families are rendered first, and steps.csv, which streams from the
+    ledger's own columns (no row is built), is written before the others."""
+    files = []
     for name, attr, columns in _FAMILIES:
         path = os.path.join(out_dir, name)
         if attr == "steps":
-            cells = metrics._steps  # the ledger's own columns: no row is built
-        else:
-            records = [(metrics.passed, metrics.collided)] if attr is None else getattr(metrics, attr)
-            if any(len(rec) != len(columns) for rec in records):
-                raise ValueError(f"{path}: every record must have {len(columns)} cells")
-            cells = list(zip(*records))
-        write_lines(path, _csv_lines(columns, cells))
+            files.append((path, _csv_lines(columns, metrics._steps)))
+            continue
+        records = [(metrics.passed, metrics.collided)] if attr is None else getattr(metrics, attr)
+        if any(len(rec) != len(columns) for rec in records):
+            raise ValueError(f"{path}: every record must have {len(columns)} cells")
+        files.append((path, list(_csv_lines(columns, list(zip(*records))))))
+    for path, lines in files:
+        write_lines(path, lines)
 
 
 def _read_rows(path, lines, header=None):
@@ -235,21 +234,17 @@ def _parse(path, rows, k, kind, exact=True):
     are refused, and so are nan and inf, which no writer takes; `exact=False`
     takes any text of a writable value."""
     read, write = _READERS[kind], _WRITERS[kind]
-    texts = [cells[k] for _, cells in rows]
-    try:
-        values = list(map(read, texts))
-        if list(write(values)) == texts or not exact:
-            return values
-    except ValueError:
-        pass
-    for (lineno, _), text in zip(rows, texts):  # name the first bad cell
+    values = []
+    for lineno, cells in rows:
         try:
-            good = next(write([read(text)])) == text or not exact
+            values.append(read(cells[k]))
+            good = next(write(values[-1:])) == cells[k] or not exact
         except ValueError:
             good = False
         if not good:
             what = {int: "integer", bool: "bool"}.get(kind, "number")
-            raise CsvParseError(f"{path}:{lineno}: bad {what} {text!r}")
+            raise CsvParseError(f"{path}:{lineno}: bad {what} {cells[k]!r}")
+    return values
 
 
 def read_csv(out_dir) -> RunMetrics:

@@ -210,6 +210,10 @@ def _model_lines(params: MlpParams, optimizer: str) -> list[str]:
 
 
 def save_model(params: MlpParams, path, optimizer: str = "adam") -> None:
+    """Write `params`; a non-finite value, which `load_model` refuses, raises
+    NumericError before any file is written."""
+    if not np.isfinite(params.theta).all():
+        raise NumericError(f"{path}: model holds a non-finite value")
     write_lines(path, _model_lines(params, optimizer))
 
 

@@ -7,10 +7,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import Action, is_integer
+from .env import ACTIONS, is_integer
 
-# the action codes and reward types `push` takes, built once: built per push they are slow
-_ACTIONS, _REALS = range(len(Action)), (int, float, np.integer, np.floating)
+# the reward types `push` takes, built once: built per push they are slow
+_REALS = (int, float, np.integer, np.floating)
 
 
 class Batch(NamedTuple):
@@ -26,7 +26,7 @@ class ReplayBuffer:
 
     States are stored as `dtype`: the DQN trainer's 0/1 states fit in uint8, an
     eighth of float64's bytes. `push` takes only states the store holds exactly,
-    `Action` codes, finite rewards and bool terminals, and `sample` returns states
+    codes in `ACTIONS`, finite rewards and bool terminals, and `sample` returns states
     as float64, so a batch has the same bits whatever the store's dtype.
     """
 
@@ -71,8 +71,8 @@ class ReplayBuffer:
         # every field is checked before any is written, so a refused push leaves
         # the ring as it was
         state, next_state = self._held("state", state), self._held("next state", next_state)
-        if not (type(action) is int or is_integer(action)) or action not in _ACTIONS:
-            raise ValueError(f"action must be an integer in 0 .. {_ACTIONS[-1]}, got {action!r}")
+        if not (type(action) is int or is_integer(action)) or action not in ACTIONS:
+            raise ValueError(f"action must be an integer in 0 .. {ACTIONS[-1]}, got {action!r}")
         # a bool is an int, so True would be stored as a reward of 1.0
         if not isinstance(reward, _REALS) or type(reward) is bool or not math.isfinite(reward):
             raise ValueError(f"reward must be a finite number, got {reward!r}")

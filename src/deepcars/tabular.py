@@ -8,16 +8,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import DeepCarsEnv, EnvConfig, EnvState, Episodes, check_integer_fields
+from .env import ACTIONS, DeepCarsEnv, EnvConfig, EnvState, Episodes, check_integer_fields
 from .metrics import RunMetrics, read_lines, write_lines
 from .net import NumericError
 
 # the tabular state, (ego_lane, d_0, ..., d_{lanes-1}): the row a q-table file stores
 TabularState = tuple[int, ...]
-# a q-table maps each visited state to its three action values; a state it
-# has never seen reads _ZERO_Q and is not inserted
+# a q-table maps each visited state to its action values; a state it has
+# never seen reads _ZERO_Q, and is inserted only when an update stores a value
 QTable = dict[TabularState, list[float]]
-_ZERO_Q = (0.0, 0.0, 0.0)
+_ZERO_Q = (0.0,) * len(ACTIONS)
 # the most states `encode_tabular` keeps encoded, least recently used out first
 _ENCODE_CACHE_SIZE = 4096
 
@@ -65,14 +65,19 @@ def q_update(
     terminal: bool,
     hp: TabularHyperparams,
 ) -> None:
-    """Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') * [not terminal] - Q(s,a))."""
+    """Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') * [not terminal] - Q(s,a)).
+
+    A refused update leaves the table as it was."""
     if not math.isfinite(r):
         raise NumericError(f"non-finite reward {r}")
-    q = table.setdefault(s, [0.0, 0.0, 0.0])
+    q = table.get(s, _ZERO_Q)
     bootstrap = 0.0 if terminal else hp.gamma * max(table.get(s_next, _ZERO_Q))
-    q[a] += hp.alpha * (r + bootstrap - q[a])
-    if not math.isfinite(q[a]):
+    value = q[a] + hp.alpha * (r + bootstrap - q[a])
+    if not math.isfinite(value):
         raise NumericError("Q-value became non-finite")
+    if q is _ZERO_Q:
+        table[s] = q = list(_ZERO_Q)
+    q[a] = value
 
 
 def select_action(
@@ -80,7 +85,7 @@ def select_action(
 ) -> int:
     """Uniform-random with probability epsilon, else argmax with lowest-code ties."""
     if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(0, 3))
+        return int(rng.integers(0, len(ACTIONS)))
     q = table.get(s, _ZERO_Q)
     return q.index(max(q))
 
@@ -130,6 +135,11 @@ def _qtable_line(state, qs) -> str:
 
 
 def save_qtable(table: QTable, path) -> None:
+    """Write `table`; a non-finite Q-value, which `load_qtable` refuses, raises
+    NumericError before any file is written."""
+    for state, qs in table.items():
+        if not all(map(math.isfinite, qs)):
+            raise NumericError(f"{path}: state {state} holds a non-finite Q-value")
     write_lines(path, (_qtable_line(state, table[state]) for state in sorted(table)))
 
 
@@ -144,9 +154,9 @@ def load_qtable(path) -> QTable:
             qs = [float(v) for v in right.split()]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed record") from None
-        if len(ints) < 2 or len(qs) != 3:
+        if len(ints) < 2 or len(qs) != len(ACTIONS):
             raise ValueError(
-                f"{path}:{lineno}: expected ego+distances and 3 Q-values"
+                f"{path}:{lineno}: expected ego+distances and {len(ACTIONS)} Q-values"
             )
         # "0_1", "+0.5", padding or a "\r": text save_qtable never writes
         if _qtable_line(ints, qs) != line:

@@ -14,11 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from deepcars import net
-from deepcars.env import EnvConfig, EnvState
+from deepcars.env import Action, EnvConfig, EnvState
 
 
 # ---------------------------------------------------------------------------
 # environment oracles
+
+# Values that are not action codes, which `DeepCarsEnv.step` and
+# `ReplayBuffer.push` both refuse: floats (a whole one too), codes out of
+# range as Python and numpy integers, a bool, text and None.
+NON_ACTIONS = (1.0, 1.7, -1, 3, np.int64(3), True, "1", None)
+# Each action code, 0 to 2, as a Python int, a numpy integer and an `Action`.
+ACTION_CODES = tuple(kind(code) for code in range(3) for kind in (int, np.int64, Action))
 
 
 def parse_ascii(text: str):

@@ -1,4 +1,5 @@
-"""The source size that `tools/bench_pairs.py` records next to its digest."""
+"""The source size that `tools/bench_pairs.py` records next to its digest, and its rule
+for comparing the two sides of a batch of pairs."""
 
 import importlib.util
 from pathlib import Path
@@ -28,3 +29,52 @@ def test_src_lines_counts_the_py_files_the_digest_covers(tmp_path):
     assert tool.src_digest(tmp_path) != digest and tool.src_lines(tmp_path) == 6
     assert tool.src_lines(ROOT) == sum(
         path.read_bytes().count(b"\n") for path in (ROOT / "src").rglob("*.py"))
+
+
+def _compare(base, head, better="higher", bound=0.1):
+    """`compare` on one metric `m` over pairs of the given base and head values."""
+    pairs = [{"base": {"metrics": {"m": b}}, "head": {"metrics": {"m": h}}}
+             for b, h in zip(base, head)]
+    return _tool().compare(pairs, {"name": "m", "unit": "1/s", "better": better, "bound": bound})
+
+
+BASE = list(range(100, 110))  # median 104.5, quartiles 102.25 and 106.75: an IQR of 4.5
+
+
+def test_a_claim_needs_nine_of_ten_pairs_won_and_a_median_gain_past_the_base_iqr():
+    wide = _compare(BASE, [b + 10 for b in BASE])
+    assert (wide["head_wins"], wide["median_gain"], wide["base"]["iqr"]) == (10, 10, 4.5)
+    assert wide["gain_exceeds_base_iqr"] and wide["claim_holds"]
+    narrow = _compare(BASE, [b + 1 for b in BASE])  # every pair won, inside the spread
+    assert narrow["head_wins"] == 10 and not narrow["gain_exceeds_base_iqr"]
+    assert not narrow["claim_holds"]
+    for lost, holds in ((1, True), (2, False)):  # the last pairs lost, the median gain kept
+        result = _compare(BASE, [b + 10 for b in BASE[:-lost]] + [b - 1 for b in BASE[-lost:]])
+        assert (result["head_wins"], result["base_wins"]) == (10 - lost, lost)
+        assert result["gain_exceeds_base_iqr"] and result["claim_holds"] is holds
+
+
+def test_a_tie_counts_for_neither_side():
+    result = _compare(BASE, BASE[:2] + [b + 10 for b in BASE[2:]])
+    assert (result["head_wins"], result["base_wins"]) == (8, 0)
+    assert not result["claim_holds"]
+    same = _compare(BASE, BASE)
+    assert (same["head_wins"], same["base_wins"], same["median_gain"]) == (0, 0, 0)
+    assert not same["claim_holds"] and not same["worse_than_bound"]
+
+
+def test_worse_than_bound_is_relative_to_the_base_median():
+    assert _compare([100] * 10, [89] * 10)["worse_than_bound"]  # 11% lost, bound 10%
+    assert not _compare([100] * 10, [91] * 10)["worse_than_bound"]  # 9% lost
+    assert not _compare([1000] * 10, [989] * 10)["worse_than_bound"]  # the same 11, 1.1%
+    assert not _compare([100] * 10, [89] * 10, bound=0.2)["worse_than_bound"]
+
+
+def test_a_lower_is_better_metric_flips_the_sign():
+    faster = _compare([100] * 10, [80] * 10, better="lower")
+    assert (faster["median_gain"], faster["head_wins"], faster["base_wins"]) == (20, 10, 0)
+    assert faster["median_gain_pct"] == 20.0
+    assert faster["claim_holds"] and not faster["worse_than_bound"]
+    slower = _compare([100] * 10, [120] * 10, better="lower")
+    assert (slower["median_gain"], slower["head_wins"], slower["base_wins"]) == (-20, 0, 10)
+    assert slower["worse_than_bound"] and not slower["claim_holds"]

@@ -521,6 +521,17 @@ def test_plot_malformed_csv_names_line(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("labels", ["x,y,z", "x"])
+def test_plot_refuses_a_label_count_other_than_the_series_count(tmp_path, capsys, labels):
+    csvs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for csv in csvs:
+        csv.write_text("window,mean_reward\n0,10.5\n1,12.0\n")
+    out = tmp_path / "chart.svg"
+    assert run(["plot", *map(str, csvs), "-o", str(out), "--labels", labels]) == 2
+    assert f"2 series but {len(labels.split(','))} labels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_escapes_title_and_labels(tmp_path):
     csv = tmp_path / "windows.csv"
     csv.write_text("window,mean_reward\n0,10.5\n1,12.0\n")

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from deepcars import dqn, kernels, net, tabular
 from deepcars.dqn import dqn_state_size, encode_dqn
 from deepcars.env import (
+    ACTIONS,
     CHUNK,
     TAPE_ROWS,
     Action,
@@ -26,6 +27,8 @@ from deepcars.env import (
 from deepcars.tabular import encode_tabular
 
 from helpers import (
+    ACTION_CODES,
+    NON_ACTIONS,
     decode_dqn,
     naive_evaluate,
     naive_spawn_row,
@@ -533,7 +536,7 @@ def test_step_after_terminal_raises():
         env.step(Action.STAY)
 
 
-@pytest.mark.parametrize("action", [1.7, 2.9, -0.5, 1.0, "1", True, 3, -1], ids=repr)
+@pytest.mark.parametrize("action", [*NON_ACTIONS, 2.9, -0.5], ids=repr)
 def test_step_refuses_an_action_that_is_not_an_integer_of_0_to_2(action):
     # int() once truncated the floats and read "1" and True as STAY, without a word
     env = DeepCarsEnv(EnvConfig(lanes=3))
@@ -544,12 +547,16 @@ def test_step_refuses_an_action_that_is_not_an_integer_of_0_to_2(action):
     assert env.state == before  # same cells, ego lane and step count
 
 
-@pytest.mark.parametrize("action", [np.int64(2), Action.RIGHT, 2], ids=repr)
+def test_action_codes_are_the_commands_in_order():
+    assert ACTIONS == tuple(Action) == (0, 1, 2) and type(ACTIONS) is tuple
+
+
+@pytest.mark.parametrize("action", ACTION_CODES, ids=repr)
 def test_step_plays_an_integer_action_of_any_integer_type(action):
     env = DeepCarsEnv(EnvConfig(lanes=3, occupancy_prob=0.0))
-    env.reset(5)
+    env.reset(5)  # the ego starts in lane 1, so code c moves it to lane c
     env.step(action)
-    assert env.state.ego_lane == 2 and type(env.state.ego_lane) is int
+    assert env.state.ego_lane == int(action) and type(env.state.ego_lane) is int
 
 
 def test_reward_dichotomy_over_random_play():

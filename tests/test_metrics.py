@@ -11,7 +11,6 @@ from deepcars.net import init_params, load_model, save_model
 from deepcars.metrics import (
     CsvParseError,
     RunMetrics,
-    accuracy,
     plot_svg,
     read_csv,
     read_series,
@@ -21,6 +20,10 @@ from deepcars.metrics import (
 from deepcars.tabular import load_qtable, save_qtable
 
 from helpers import metrics_equal, naive_ledger
+
+
+def accuracy(passed, collided):
+    return RunMetrics(passed=passed, collided=collided).accuracy()
 
 
 def test_accuracy_examples():
@@ -224,6 +227,7 @@ def test_cell_its_column_cannot_hold_is_refused_at_write_time(tmp_path, family, 
     write_csv(_sample_metrics(), tmp_path)
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
     bad = _sample_metrics()
+    bad.add_step(101, 9, 1.0, 0.0)  # a row the old steps.csv lacks, so replacing it would show
     with pytest.raises(error):
         # a step row goes in through add_step, whose typed columns refuse a cell they
         # cannot hold, and a row of another width, before write_csv is reached

@@ -1,6 +1,8 @@
 import copy
 import math
+import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -324,6 +326,20 @@ def test_model_with_non_finite_weights_fails_loudly(tmp_path):
     path.write_text("\n".join(lines[:-1] + ["b2 nan nan nan"]) + "\n")
     with pytest.raises(ModelFormatError, match="'b2'.*non-finite"):
         net.load_model(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+def test_save_model_refuses_a_non_finite_value_before_writing(tmp_path, bad):
+    # such a model was once written, and then refused by load_model
+    path = tmp_path / "model.txt"
+    net.save_model(net.init_params([4, 3], 1), path)
+    before = path.read_bytes()
+    p = net.init_params([4, 3], 0)
+    p.theta[0] = bad
+    for target in (path, tmp_path / "new" / "model.txt"):
+        with pytest.raises(NumericError, match=re.escape(f"{target}: model holds a non-finite")):
+            net.save_model(p, target)
+    assert os.listdir(tmp_path) == ["model.txt"] and path.read_bytes() == before
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from deepcars.env import Action
 from deepcars.replay import Batch, ReplayBuffer
 
+from helpers import ACTION_CODES, NON_ACTIONS
+
 
 def _t(tag, dim=3, terminal=False):
     """Positional push fields: (state, action, reward, next state, terminal)."""
@@ -203,6 +205,25 @@ def test_push_takes_numpy_and_enum_fields():
     assert _stored(buf, buf.actions) == [2, 0, 1]
     assert _stored(buf, buf.rewards) == [0.5, -1.0, 3.0]
     assert _stored(buf, buf.terminals) == [True, False, True]
+
+
+@pytest.mark.parametrize("action", NON_ACTIONS, ids=repr)
+def test_push_refuses_each_non_action_and_keeps_a_full_ring(action):
+    rng = np.random.default_rng(8)
+    buf = ReplayBuffer(3, 4, np.uint8)
+    for tag in range(5):
+        buf.push(_bits(rng, 4), tag % 3, float(tag), _bits(rng, 4), False)
+    snap = _snapshot(buf)
+    with pytest.raises(ValueError, match=r"^action must be an integer in 0 \.\. 2, got "):
+        buf.push(_bits(rng, 4), action, 1.0, _bits(rng, 4), True)
+    _assert_unchanged(buf, snap)
+
+
+def test_push_stores_each_action_code_of_any_integer_type():
+    buf = ReplayBuffer(len(ACTION_CODES), 1)
+    for code in ACTION_CODES:
+        buf.push(np.zeros(1), code, 1.0, np.zeros(1), False)
+    assert _stored(buf, buf.actions) == [int(code) for code in ACTION_CODES]
 
 
 def test_uint8_store_takes_every_value_it_holds_exactly():

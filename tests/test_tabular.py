@@ -1,3 +1,7 @@
+import copy
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +59,20 @@ def test_q_update_changes_exactly_one_cell():
 def test_q_update_rejects_nonfinite_reward():
     with pytest.raises(NumericError):
         q_update({}, S, 0, float("nan"), S2, terminal=False, hp=HP)
+
+
+def test_refused_q_update_leaves_the_table_as_it_was():
+    # the non-finite value was once stored before the check, and an unseen state's
+    # row inserted, so the table kept inf and a row no update had written
+    hp = TabularHyperparams(alpha=1.0)
+    table = {}
+    q_update(table, S, 0, 1e308, S, terminal=False, hp=hp)
+    assert table == {S: [1e308, 0.0, 0.0]}
+    before = copy.deepcopy(table)
+    for s in (S, S2):  # 1e308 + 0.9 * 1e308 overflows, for a seen and an unseen state
+        with pytest.raises(NumericError, match="non-finite"):
+            q_update(table, s, 0, 1e308, S, terminal=False, hp=hp)
+        assert table == before
 
 
 def test_absent_state_reads_zero_without_insert():
@@ -207,6 +225,19 @@ def test_qtable_roundtrip(tmp_path):
     loaded = load_qtable(path)
     assert loaded == table
     assert all(type(q) is float for qs in loaded.values() for q in qs)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=repr)
+def test_save_qtable_refuses_a_non_finite_q_value_before_writing(tmp_path, bad):
+    # such a table was once written, and then refused by load_qtable
+    path = tmp_path / "qtable.txt"
+    save_qtable({S: [0.5, 0.25, 0.0]}, path)
+    before = path.read_bytes()
+    table = {S2: [0.0, 1.0, 0.0], S: [bad, 0.0, 0.0]}
+    for target in (path, tmp_path / "new" / "qtable.txt"):
+        with pytest.raises(NumericError, match=re.escape(f"{target}: state {S} holds a non-finite")):
+            save_qtable(table, target)
+    assert os.listdir(tmp_path) == ["qtable.txt"] and path.read_bytes() == before
 
 
 def test_saved_rows_are_the_keys_joined_in_sorted_order(tmp_path):
