@@ -18,7 +18,7 @@ import sys
 import dataclasses
 
 from . import dqn, metrics as metrics_mod, net, tabular
-from .env import Action, EnvConfig, Episodes, evaluate, render_ascii
+from .env import Action, EnvConfig, Episodes, check_count, evaluate, render_ascii
 from .tabular import TabularHyperparams
 
 ARCH_PRESETS = {
@@ -238,8 +238,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_demo(args) -> int:
     (config,) = _settings(args, EnvConfig)
-    if args.episodes < 1:
-        raise CliUsageError(f"--episodes must be >= 1, got {args.episodes}")
+    check_count("--episodes", args.episodes, error=CliUsageError)
     act, encode = _load_model(args.model, config)
     # the stream hands over state snapshots, which the transcript prints
     stream = Episodes(config, lambda env: env.state, config.seed)

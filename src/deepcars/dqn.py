@@ -11,7 +11,7 @@ import numpy as np
 
 from . import net
 from .env import (
-    ACTIONS, DeepCarsEnv, EnvConfig, EnvState, Episodes, check_integer_fields, is_integer,
+    ACTIONS, DeepCarsEnv, EnvConfig, EnvState, Episodes, check_count, check_integer_fields,
     roll_seed,
 )
 from .metrics import RunMetrics
@@ -140,8 +140,7 @@ def greedy_policy(params: MlpParams, config: EnvConfig):
 
 def validate(params: MlpParams, config: EnvConfig, episodes: int, seed: int) -> RunMetrics:
     """Greedy rollouts of `episodes` episodes, tallied; parameters untouched."""
-    if not is_integer(episodes) or episodes < 1:
-        raise ValueError(f"episodes must be an integer >= 1, got {episodes!r}")
+    check_count("episodes", episodes)
     act, encode = greedy_policy(params, config)
     stream = Episodes(config, encode, seed)
     run = RunMetrics()

@@ -48,19 +48,30 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_action(action) -> int:
+    """`action` as a plain int; ValueError unless it is an integer in `ACTIONS`, not a bool."""
+    if not is_integer(action) or action not in ACTIONS:
+        raise ValueError(f"action must be an integer in 0 .. {ACTIONS[-1]}, got {action!r}")
+    return int(action)
+
+
+def check_count(name, value, least=1, error=ValueError) -> None:
+    """Raise `error` unless `value` is an integer of at least `least`."""
+    if not is_integer(value) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def check_integer_fields(settings, least=0, error=ValueError, **bounds) -> None:
     """Refuse a field of the dataclass `settings` whose default is an int and whose
     value is not an integer of at least `bounds.get(name, least)`, or whose default
     is a tuple and whose value is not a tuple of such integers."""
     for f in fields(settings):
         kind, value, low = type(f.default), getattr(settings, f.name), bounds.get(f.name, least)
-        if kind is tuple:
-            ok = isinstance(value, tuple) and all(is_integer(v) and v >= low for v in value)
-        else:
-            ok = kind is not int or (is_integer(value) and value >= low)
-        if not ok:
-            what = "a tuple of integers" if kind is tuple else "an integer"
-            raise error(f"{f.name} must be {what} >= {low}, got {value!r}")
+        if kind is int:
+            check_count(f.name, value, low, error)
+        elif kind is tuple and not (isinstance(value, tuple)
+                                    and all(is_integer(v) and v >= low for v in value)):
+            raise error(f"{f.name} must be a tuple of integers >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -211,12 +222,8 @@ class DeepCarsEnv:
     def step(self, action: int) -> StepOutcome:
         if self._terminal:
             raise TerminalStateError("episode already ended; call reset()")
-        if type(action) is not int:  # a plain int, the hot case, needs no conversion
-            if not is_integer(action):
-                raise ValueError(f"invalid action {action!r}")
-            action = int(action)
-        if action not in ACTIONS:
-            raise ValueError(f"invalid action {action}")
+        if type(action) is not int or action not in ACTIONS:  # a plain int is the hot case
+            action = check_action(action)
 
         # lateral move, clamped at the road edges
         lanes = self.lanes
@@ -277,8 +284,7 @@ class Episodes:
 
 def evaluate(policy, config: EnvConfig, steps: int, seed: int) -> RunMetrics:
     """Greedy rollout of an `(act, encode)` policy for a fixed number of steps."""
-    if not is_integer(steps) or steps < 1:
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    check_count("steps", steps)
     act, encode = policy
     episodes = Episodes(config, encode, seed)
     metrics = RunMetrics()

@@ -46,20 +46,26 @@ def mlp_backward(layers, x, dout):
     return np.concatenate(blocks)
 
 
-def adam_update(theta, grad, m, v, step, lr, beta1, beta2, eps):
-    # same operation order as theta -= lr * (m / c1) / (sqrt(v / c2) + eps)
-    tmp = (1.0 - beta1) * grad
-    m *= beta1
+# Adam's decay rates of the gradient's first and second moments, and its denominator's floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_update(theta, grad, m, v, step, lr):
+    # same operation order as theta -= lr * (m / c1) / (sqrt(v / c2) + ADAM_EPS)
+    tmp = (1.0 - ADAM_BETA1) * grad
+    m *= ADAM_BETA1
     m += tmp
-    np.multiply(grad, 1.0 - beta2, out=tmp)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
     tmp *= grad
-    v *= beta2
+    v *= ADAM_BETA2
     v += tmp
-    c1 = 1.0 - beta1**step
-    c2 = 1.0 - beta2**step
+    c1 = 1.0 - ADAM_BETA1**step
+    c2 = 1.0 - ADAM_BETA2**step
     np.divide(v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += eps
+    tmp += ADAM_EPS
     upd = m / c1
     upd *= lr
     upd /= tmp

@@ -147,11 +147,6 @@ class OptimizerState:
     step_count: int = 0
 
 
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
-
-
 def make_optimizer(
     params: MlpParams, algorithm: str = "adam", learning_rate: float = 1e-3
 ) -> OptimizerState:
@@ -177,17 +172,7 @@ def gradient_step(params: MlpParams, grad: np.ndarray, opt: OptimizerState) -> N
         raise NumericError("non-finite gradient; training aborted")
     opt.step_count += 1
     if opt.algorithm == "adam":
-        kernels.adam_update(
-            params.theta,
-            grad,
-            opt.m,
-            opt.v,
-            opt.step_count,
-            opt.learning_rate,
-            ADAM_BETA1,
-            ADAM_BETA2,
-            ADAM_EPS,
-        )
+        kernels.adam_update(params.theta, grad, opt.m, opt.v, opt.step_count, opt.learning_rate)
     else:
         params.theta -= opt.learning_rate * grad
 

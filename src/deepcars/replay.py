@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import ACTIONS, is_integer
+from .env import check_action, check_count
 
 # the reward types `push` takes, built once: built per push they are slow
 _REALS = (int, float, np.integer, np.floating)
@@ -31,8 +31,7 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int, state_dim: int, dtype=np.float64):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        check_count("capacity", capacity)
         self.capacity = capacity
         self.states = np.zeros((capacity, state_dim), dtype)
         self.actions = np.zeros(capacity, dtype=np.int64)
@@ -71,8 +70,7 @@ class ReplayBuffer:
         # every field is checked before any is written, so a refused push leaves
         # the ring as it was
         state, next_state = self._held("state", state), self._held("next state", next_state)
-        if not (type(action) is int or is_integer(action)) or action not in ACTIONS:
-            raise ValueError(f"action must be an integer in 0 .. {ACTIONS[-1]}, got {action!r}")
+        action = check_action(action)
         # a bool is an int, so True would be stored as a reward of 1.0
         if not isinstance(reward, _REALS) or type(reward) is bool or not math.isfinite(reward):
             raise ValueError(f"reward must be a finite number, got {reward!r}")

@@ -8,7 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ACTIONS, DeepCarsEnv, EnvConfig, EnvState, Episodes, check_integer_fields
+from .env import (
+    ACTIONS, DeepCarsEnv, EnvConfig, EnvState, Episodes, check_action, check_integer_fields,
+)
 from .metrics import RunMetrics, read_lines, write_lines
 from .net import NumericError
 
@@ -68,6 +70,8 @@ def q_update(
     """Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') * [not terminal] - Q(s,a)).
 
     A refused update leaves the table as it was."""
+    if type(a) is not int or a not in ACTIONS:  # a plain int is the hot case
+        a = check_action(a)
     if not math.isfinite(r):
         raise NumericError(f"non-finite reward {r}")
     q = table.get(s, _ZERO_Q)

@@ -542,7 +542,7 @@ def test_step_refuses_an_action_that_is_not_an_integer_of_0_to_2(action):
     env = DeepCarsEnv(EnvConfig(lanes=3))
     env.reset(5)
     before = env.state
-    with pytest.raises(ValueError, match="invalid action"):
+    with pytest.raises(ValueError, match="action must be an integer in 0 .. 2"):
         env.step(action)
     assert env.state == before  # same cells, ego lane and step count
 
