@@ -33,6 +33,8 @@ class Action(IntEnum):
 
 
 ACTIONS = tuple(range(len(Action)))  # the codes; `in` costs less on a tuple than on a range
+# the reward types `is_real` takes, built once: built per call they are slow
+_REALS = (int, float, np.integer, np.floating)
 
 
 class ConfigError(ValueError):
@@ -46,6 +48,17 @@ class TerminalStateError(RuntimeError):
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a Python or numpy int or float; a bool is not one, though Python
+    counts it an int, so a learner would take True as a reward of 1.0."""
+    return isinstance(value, _REALS) and type(value) is not bool
+
+
+def is_bool(value) -> bool:
+    """True for a Python or numpy bool, the one kind of terminal flag a learner takes."""
+    return isinstance(value, (bool, np.bool_))
 
 
 def check_action(action) -> int:

@@ -7,10 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import check_action, check_count
-
-# the reward types `push` takes, built once: built per push they are slow
-_REALS = (int, float, np.integer, np.floating)
+from .env import check_action, check_count, is_bool, is_real
 
 
 class Batch(NamedTuple):
@@ -71,10 +68,9 @@ class ReplayBuffer:
         # the ring as it was
         state, next_state = self._held("state", state), self._held("next state", next_state)
         action = check_action(action)
-        # a bool is an int, so True would be stored as a reward of 1.0
-        if not isinstance(reward, _REALS) or type(reward) is bool or not math.isfinite(reward):
+        if not is_real(reward) or not math.isfinite(reward):
             raise ValueError(f"reward must be a finite number, got {reward!r}")
-        if not isinstance(terminal, (bool, np.bool_)):
+        if not is_bool(terminal):
             raise ValueError(f"terminal must be a bool, got {terminal!r}")
         i = self._cursor
         self.states[i] = state

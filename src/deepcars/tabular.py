@@ -10,6 +10,7 @@ import numpy as np
 
 from .env import (
     ACTIONS, DeepCarsEnv, EnvConfig, EnvState, Episodes, check_action, check_integer_fields,
+    is_bool, is_real,
 )
 from .metrics import RunMetrics, read_lines, write_lines
 from .net import NumericError
@@ -69,9 +70,15 @@ def q_update(
 ) -> None:
     """Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') * [not terminal] - Q(s,a)).
 
-    A refused update leaves the table as it was."""
+    It refuses (ValueError) an action not in `ACTIONS`, a reward that is not a
+    number and a terminal that is not a bool; a refused update leaves the table
+    as it was."""
     if type(a) is not int or a not in ACTIONS:  # a plain int is the hot case
         a = check_action(a)
+    if type(r) is not float and not is_real(r):
+        raise ValueError(f"reward must be a number, got {r!r}")
+    if type(terminal) is not bool and not is_bool(terminal):
+        raise ValueError(f"terminal must be a bool, got {terminal!r}")
     if not math.isfinite(r):
         raise NumericError(f"non-finite reward {r}")
     q = table.get(s, _ZERO_Q)

@@ -402,7 +402,7 @@ def test_demo_qtable_model(tmp_path, capsys):
                 "--episodes", "0"])
     assert code == 2
     captured = capsys.readouterr()
-    assert "--episodes" in captured.err and captured.out == ""
+    assert "--episodes must be an integer >= 1" in captured.err and captured.out == ""
 
 
 def _qtable_for(distances, ego=0):

@@ -17,7 +17,7 @@ from deepcars.tabular import (
     train_tabular,
 )
 
-from helpers import metrics_equal, naive_train_tabular
+from helpers import ACTION_CODES, NON_ACTIONS, metrics_equal, naive_train_tabular
 
 HP = TabularHyperparams()
 S = (1, 3, 8, 8)
@@ -73,6 +73,57 @@ def test_refused_q_update_leaves_the_table_as_it_was():
         with pytest.raises(NumericError, match="non-finite"):
             q_update(table, s, 0, 1e308, S, terminal=False, hp=hp)
         assert table == before
+
+
+@pytest.mark.parametrize("action", NON_ACTIONS, ids=repr)
+def test_q_update_refuses_each_non_action_and_leaves_the_table(action):
+    # -1 was once stored under RIGHT and True under STAY, and 3 raised IndexError
+    table = {S: [0.1, 0.2, 0.3], S2: [0.4, 0.5, 0.6]}
+    before = copy.deepcopy(table)
+    with pytest.raises(ValueError, match="action must be an integer in 0 .. 2"):
+        q_update(table, S, action, 1.0, S2, terminal=False, hp=HP)
+    assert table == before
+
+
+@pytest.mark.parametrize("action", ACTION_CODES, ids=repr)
+def test_q_update_takes_each_action_code_of_any_integer_type(action):
+    table = {}
+    q_update(table, S, action, 1.0, S2, terminal=True, hp=HP)
+    assert table[S] == [0.1 if a == int(action) else 0.0 for a in range(3)]
+
+
+@pytest.mark.parametrize("reward", [True, False, np.True_, "1", None], ids=repr)
+def test_q_update_refuses_a_reward_that_is_not_a_number(reward):
+    # True was once learned as a reward of 1.0, and False as 0.0
+    table = {S: [0.1, 0.2, 0.3]}
+    with pytest.raises(ValueError, match="reward must be a number"):
+        q_update(table, S, 1, reward, S2, terminal=False, hp=HP)
+    assert table == {S: [0.1, 0.2, 0.3]}
+
+
+@pytest.mark.parametrize("reward", [1, np.int64(1), np.float32(1.0)], ids=repr)
+def test_q_update_takes_a_reward_of_any_number_type(reward):
+    table = {}
+    q_update(table, S, 1, reward, S2, terminal=True, hp=HP)
+    assert table[S] == [0.0, 0.1, 0.0]
+
+
+@pytest.mark.parametrize("terminal", ["no", None, 0, 1, 0.0], ids=repr)
+def test_q_update_refuses_a_terminal_that_is_not_a_bool(terminal):
+    # "no" was once taken as terminal, and None and 0 bootstrapped
+    table = {S: [0.1, 0.2, 0.3], S2: [0.4, 0.5, 0.6]}
+    before = copy.deepcopy(table)
+    with pytest.raises(ValueError, match="terminal must be a bool"):
+        q_update(table, S, 1, 1.0, S2, terminal=terminal, hp=HP)
+    assert table == before
+
+
+@pytest.mark.parametrize("terminal", [np.True_, np.False_], ids=repr)
+def test_q_update_takes_a_numpy_bool_terminal(terminal):
+    table, plain = {S2: [0.4, 0.5, 0.6]}, {S2: [0.4, 0.5, 0.6]}
+    q_update(table, S, 1, 1.0, S2, terminal=terminal, hp=HP)
+    q_update(plain, S, 1, 1.0, S2, terminal=bool(terminal), hp=HP)
+    assert table == plain
 
 
 def test_absent_state_reads_zero_without_insert():
