@@ -124,19 +124,16 @@ def _settings(args, *classes):
     return [_resolve(cls, file_values, args) for cls in classes]
 
 
-def _kv_lines(obj) -> list[str]:
-    """`key=value` lines for a dataclass's fields, sorted; tuples comma-joined."""
-    lines = []
-    for key, value in sorted(dataclasses.asdict(obj).items()):
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key}={value}")
-    return lines
-
-
 def _write_snapshot(out_dir, *settings) -> str:
+    """Write config.txt: the fields of each of `settings` as sorted `key=value` lines."""
+    lines = []
+    for obj in settings:
+        for key, value in sorted(dataclasses.asdict(obj).items()):
+            if isinstance(value, tuple):
+                value = ",".join(str(v) for v in value)
+            lines.append(f"{key}={value}")
     path = os.path.join(out_dir, "config.txt")
-    metrics_mod.write_lines(path, [line for obj in settings for line in _kv_lines(obj)])
+    metrics_mod.write_lines(path, lines)
     return path
 
 
@@ -158,12 +155,12 @@ def _print_accuracy(label, run: metrics_mod.RunMetrics):
 def _finish_training(args, run, config, hp, *model_lines) -> int:
     """Write a training run's CSVs and config snapshot, then print its summary,
     with `model_lines` naming the saved model between accuracy and metrics."""
-    metrics_mod.write_csv(run, args.out)
+    csvs = metrics_mod.write_csv(run, args.out)
     snapshot = _write_snapshot(args.out, config, hp)
     _print_accuracy("training", run)
     for line in model_lines:
         print(line)
-    print(f"metrics: {args.out}/steps.csv {args.out}/windows.csv {args.out}/validation.csv")
+    print("metrics:", *csvs)
     print(f"config snapshot: {snapshot}")
     return 0
 
@@ -188,17 +185,11 @@ def cmd_train_dqn(args) -> int:
     best_path = os.path.join(args.out, "best.model")
     net.save_model(final, final_path, hp.optimizer)
     net.save_model(best.params, best_path, hp.optimizer)
-    meta_path = best_path + ".meta"
-    metrics_mod.write_lines(meta_path, [
-        f"training_step={best.training_step}",
-        f"mean_validation_reward={best.mean_validation_reward!r}",
-        *_kv_lines(hp),
-    ])
     return _finish_training(
         args, run, config, hp,
         f"best checkpoint: step {best.training_step}, "
         f"mean validation reward {best.mean_validation_reward:.2f}",
-        f"models: {best_path} (+ {meta_path}), {final_path}",
+        f"models: {best_path}, {final_path}",
     )
 
 
@@ -220,6 +211,8 @@ def _load_model(path, config: EnvConfig):
 
 def cmd_evaluate(args) -> int:
     (config,) = _settings(args, EnvConfig)
+    if os.path.exists(os.path.join(args.out, "steps.csv")):  # keep a training run's record
+        raise CliUsageError(f"--out {args.out} holds a training run; evaluate elsewhere")
     run = evaluate(_load_model(args.model, config), config, args.steps, config.seed)
     _print_accuracy("evaluation", run)
     summary = os.path.join(args.out, "evaluation.txt")

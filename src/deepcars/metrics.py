@@ -179,10 +179,11 @@ def _csv_lines(columns, cells):
                                    for (_, kind), column in zip(columns, cells))))
 
 
-def write_csv(metrics: RunMetrics, out_dir) -> None:
-    """Write one CSV per family. A bad cell raises before any file is replaced:
-    the small families are rendered first, and steps.csv, which streams from the
-    ledger's own columns (no row is built), is written before the others."""
+def write_csv(metrics: RunMetrics, out_dir) -> list[str]:
+    """Write one CSV per family and return their paths, in `_FAMILIES` order.
+    A bad cell raises before any file is replaced: the small families are
+    rendered first, and steps.csv, which streams from the ledger's own columns
+    (no row is built), is written before the others."""
     files = []
     for name, attr, columns in _FAMILIES:
         path = os.path.join(out_dir, name)
@@ -195,6 +196,7 @@ def write_csv(metrics: RunMetrics, out_dir) -> None:
         files.append((path, list(_csv_lines(columns, list(zip(*records))))))
     for path, lines in files:
         write_lines(path, lines)
+    return [path for path, _ in files]
 
 
 def _read_rows(path, lines, header=None):
@@ -298,6 +300,19 @@ def _ticks(lo, hi, n=5):
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+def _line(x1, y1, x2, y2, stroke="black", width=""):
+    """One chart `<line>`; each argument is written as it arrives."""
+    width = f' stroke-width="{width}"' if width else ""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{width}/>'
+
+
+def _text(x, y, body, size=12, anchor=""):
+    """One chart `<text>`; `body` must be escaped already."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"{anchor}>'
+            f'{body}</text>')
+
+
 def plot_svg(series, labels, path, title: str = "") -> None:
     """Self-contained SVG 1.1 line chart; one polyline and legend entry per series.
 
@@ -346,49 +361,25 @@ def plot_svg(series, labels, path, title: str = "") -> None:
         f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
-        f'<line x1="{px0}" y1="{py0}" x2="{px1}" y2="{py0}" stroke="black"/>',
-        f'<line x1="{px0}" y1="{py0}" x2="{px0}" y2="{py1}" stroke="black"/>',
+        _line(px0, py0, px1, py0),
+        _line(px0, py0, px0, py1),
     ]
     if title:
-        out.append(
-            f'<text x="{SVG_WIDTH // 2}" y="28" font-family="sans-serif" '
-            f'font-size="18" text-anchor="middle">{escape(title)}</text>'
-        )
+        out.append(_text(SVG_WIDTH // 2, 28, escape(title), size=18, anchor="middle"))
     for x in _ticks(xmin, xmax):
-        out.append(
-            f'<line x1="{sx(x):.2f}" y1="{py0}" x2="{sx(x):.2f}" y2="{py0 + 5}" '
-            f'stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{sx(x):.2f}" y="{py0 + 20}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="middle">{x:.6g}</text>'
-        )
+        out += [_line(f"{sx(x):.2f}", py0, f"{sx(x):.2f}", py0 + 5),
+                _text(f"{sx(x):.2f}", py0 + 20, f"{x:.6g}", anchor="middle")]
     for y in _ticks(ymin, ymax):
-        out.append(
-            f'<line x1="{px0 - 5}" y1="{sy(y):.2f}" x2="{px0}" y2="{sy(y):.2f}" '
-            f'stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{px0 - 9}" y="{sy(y) + 4:.2f}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="end">{y:.6g}</text>'
-        )
+        out += [_line(px0 - 5, f"{sy(y):.2f}", px0, f"{sy(y):.2f}"),
+                _text(px0 - 9, f"{sy(y) + 4:.2f}", f"{y:.6g}", anchor="end")]
     for i, (xs, ys) in enumerate(clean):
         color = _PALETTE[i % len(_PALETTE)]
         points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-        out.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
-        )
+        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
     for i, label in enumerate(labels):
         color = _PALETTE[i % len(_PALETTE)]
         ly = py1 + 16 + 18 * i
-        out.append(
-            f'<line x1="{px1 - 150}" y1="{ly - 4}" x2="{px1 - 120}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        out.append(
-            f'<text x="{px1 - 112}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(label)}</text>'
-        )
+        out += [_line(px1 - 150, ly - 4, px1 - 120, ly - 4, color, 1.5),
+                _text(px1 - 112, ly, escape(label))]
     out.append("</svg>")
     write_lines(path, out)

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import io
 import os
+import shutil
 import subprocess
 import sys
 from xml.dom import minidom
@@ -9,7 +12,7 @@ import pytest
 import deepcars
 from deepcars import cli, net, tabular
 from deepcars.cli import ARCH_PRESETS, CliUsageError, build_parser, run
-from deepcars.metrics import read_csv
+from deepcars.metrics import _FAMILIES, read_csv
 
 
 def test_train_tabular_writes_artifacts(tmp_path, capsys):
@@ -52,13 +55,79 @@ def test_train_dqn_writes_checkpoint_and_metrics(tmp_path):
         ]
     )
     assert code == 0
-    for name in ("best.model", "best.model.meta", "final.model", "steps.csv",
+    for name in ("best.model", "final.model", "steps.csv",
                  "windows.csv", "validation.csv", "config.txt"):
         assert (out / name).exists()
-    meta = (out / "best.model.meta").read_text()
-    assert "training_step=" in meta and "double_q=True" in meta
+    assert "double_q=True" in (out / "config.txt").read_text()
     metrics = read_csv(out)
     assert len(metrics.steps) == 1200
+    best_steps = [step for step, _, _, is_best in metrics.validations if is_best]
+    assert best_steps and 0 < best_steps[-1] <= 1200
+
+
+# Runs that the tests below share, each trained once on first use.
+TRAINED = {
+    "tabular": ["train-tabular", "--lanes", "3", "--steps", "2000", "--seed", "4"],
+    # validations at steps 200, 400 and 600
+    "dqn": ["train-dqn", "--arch", "ddqn16", "--steps", "600", "--learn-start", "200",
+            "--fast-val-period", "200", "--fast-val-episodes", "2", "--seed", "4"],
+    # shorter than --fast-val-period: the one validation is the run's closing one
+    "dqn-short": ["train-dqn", "--arch", "ddqn16", "--steps", "500", "--learn-start", "200",
+                  "--fast-val-period", "1000", "--fast-val-episodes", "3", "--seed", "4"],
+}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """`trained(name)` is the (out dir, stdout) of the `TRAINED[name]` run."""
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            out, stdout = tmp_path_factory.mktemp(name), io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert run([*TRAINED[name], "--out", str(out)]) == 0
+            runs[name] = out, stdout.getvalue()
+        return runs[name]
+    return get
+
+
+@pytest.mark.parametrize("name", ["dqn", "dqn-short"])
+def test_train_dqn_writes_models_config_and_csvs_only(trained, name):
+    out, _ = trained(name)
+    csvs = [csv for csv, _, _ in _FAMILIES]
+    assert sorted(os.listdir(out)) == sorted(["best.model", "final.model", "config.txt", *csvs])
+
+
+@pytest.mark.parametrize("name,validations", [("dqn", 3), ("dqn-short", 1)])
+def test_best_checkpoint_line_is_the_last_new_best_validation_row(trained, name, validations):
+    out, stdout = trained(name)
+    rows = read_csv(out).validations
+    assert len(rows) == validations
+    step, reward, _, _ = [row for row in rows if row[3]][-1]
+    assert f"best checkpoint: step {step}, mean validation reward {reward:.2f}\n" in stdout
+
+
+@pytest.mark.parametrize("name", ["tabular", "dqn"])
+def test_metrics_line_names_the_csvs_in_family_order(trained, name):
+    out, stdout = trained(name)
+    csvs = [os.path.join(out, csv) for csv, _, _ in _FAMILIES]
+    assert all(os.path.isfile(csv) for csv in csvs)
+    assert f"metrics: {' '.join(csvs)}\n" in stdout
+
+
+@pytest.mark.parametrize("name,model", [("tabular", "qtable.txt"), ("dqn", "best.model")])
+def test_evaluate_refuses_to_write_into_a_training_run(trained, tmp_path, capsys, name, model):
+    out = tmp_path / "run"
+    shutil.copytree(trained(name)[0], out)
+    before = _tree_bytes(out)
+    argv = ["evaluate", "--model", str(out / model), "--steps", "300", "--seed", "1",
+            "--out", str(out)]
+    if name == "tabular":
+        argv += ["--lanes", "3"]
+    assert run(argv) == 2
+    assert f"--out {out} holds a training run" in capsys.readouterr().err
+    assert _tree_bytes(out) == before
 
 
 def test_flag_precedence_flag_beats_file_beats_default(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import tracemalloc
@@ -330,6 +331,15 @@ def test_plot_deterministic_bytes(tmp_path):
     plot_svg(series, ["run"], a, title="t")
     plot_svg(series, ["run"], b, title="t")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_plot_bytes_without_a_title_are_pinned(tmp_path):
+    # no title, a y range that is one value (widened by 1 each way) and a label to
+    # escape; the digest of plot/curves.svg in cli_digests.txt pins a titled chart
+    path = tmp_path / "chart.svg"
+    plot_svg([([0, 1, 2], [5.0, 5.0, 5.0]), ([0.5, 2], [5.0, 5.0])], ["a<b & c", "flat"], path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "540a4fbf5156828108a95cc0677767f8b5614280ccf6ea6288786f9c10fa9795"
 
 
 def test_plot_rejects_empty_series(tmp_path):
