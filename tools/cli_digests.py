@@ -32,6 +32,8 @@ import numpy as np
 # (name, argv); a command writes its artifacts under its own name
 COMMANDS = (
     ("tab", ["train-tabular", "--lanes", "3", "--steps", "20000", "--seed", "1", "--out", "tab"]),
+    # the same run read back from tab's snapshot: every setting comes from the config file
+    ("tab-config", ["train-tabular", "--config", "tab/config.txt", "--out", "tab-config"]),
     # 5-lane keys, the greedy branch that draws nothing, and alpha = 1
     ("tab5", ["train-tabular", "--lanes", "5", "--epsilon", "0", "--alpha", "1", "--steps", "5000",
               "--seed", "4", "--out", "tab5"]),
@@ -82,6 +84,8 @@ COMMANDS = (
                     "--max-episode-steps", "4", "--seed", "4"]),
     ("plot", ["plot", "ddqn/windows.csv", "dqn/windows.csv", "-o", "plot/curves.svg",
               "--labels", "ddqn,dqn", "--title", "windows"]),
+    # one (0, 0) point: a range that is flat on both axes
+    ("plot-flat", ["plot", "dqn-emptyroad/summary.csv", "-o", "plot-flat/flat.svg"]),
 )
 
 
