@@ -79,11 +79,16 @@ def _add_fields(parser, cls, groups=None):
             target.add_argument(flag, dest=field.name, type=_value_parser(field))
 
 
-def parse_kv_file(path) -> dict:
+def _input_file(path, kind):
+    """`path`, which must name a file, else a usage error naming its `kind`."""
     if not os.path.isfile(path):
-        raise CliUsageError(f"config file not found: {path}")
+        raise CliUsageError(f"{kind} file not found: {path}")
+    return path
+
+
+def parse_kv_file(path) -> dict:
     values = {}
-    with open(path) as fh:
+    with open(_input_file(path, "config")) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -98,30 +103,26 @@ def parse_kv_file(path) -> dict:
     return values
 
 
-def _resolve(cls, file_values: dict, args):
-    """Build `cls` from its defaults < config-file values < flags set in `args`."""
-    resolved = {}
-    for field in dataclasses.fields(cls):
-        if field.name in file_values:
-            raw = file_values[field.name]
-            try:
-                resolved[field.name] = _value_parser(field)(raw)
-            except (ValueError, argparse.ArgumentTypeError):
-                raise CliUsageError(f"invalid value for {field.name!r}: {raw!r}") from None
-        if getattr(args, field.name) is not None:
-            resolved[field.name] = getattr(args, field.name)
-    return cls(**resolved)
-
-
 def _settings(args, *classes):
-    """One instance per class in `classes`, resolved from flags and `--config`;
-    a config-file key that is a field of none of them is a usage error."""
+    """One instance per class in `classes`, built once from its defaults < `--config`
+    values < flags set in `args`. A file key that is a field of none of them, then a
+    file value its field's parser refuses (even one a flag overrides), is a usage error."""
     file_values = parse_kv_file(args.config) if args.config else {}
-    known = {field.name for cls in classes for field in dataclasses.fields(cls)}
+    fields = {field.name: field for cls in classes for field in dataclasses.fields(cls)}
     for key in file_values:
-        if key not in known:
+        if key not in fields:
             raise CliUsageError(f"unknown config key {key!r}")
-    return [_resolve(cls, file_values, args) for cls in classes]
+    values = {}
+    for name, field in fields.items():
+        if name in file_values:
+            try:
+                values[name] = _value_parser(field)(file_values[name])
+            except (ValueError, argparse.ArgumentTypeError):
+                raise CliUsageError(f"invalid value for {name!r}: {file_values[name]!r}") from None
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    return [cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
+            for cls in classes]
 
 
 def _write_snapshot(out_dir, *settings) -> str:
@@ -196,9 +197,7 @@ def cmd_train_dqn(args) -> int:
 def _load_model(path, config: EnvConfig):
     """The greedy `(act, encode)` pair of the model in `path` (an MLP or a q-table, told
     apart by the file header) on `config`; its `greedy_policy` refuses a misfit."""
-    if not os.path.isfile(path):
-        raise CliUsageError(f"model file not found: {path}")
-    with open(path) as fh:
+    with open(_input_file(path, "model")) as fh:
         first = fh.readline()
     if first.startswith("format "):
         return dqn.greedy_policy(net.load_model(path)[0], config)
@@ -250,11 +249,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    series = []
-    for path in args.csv:
-        if not os.path.isfile(path):
-            raise CliUsageError(f"csv file not found: {path}")
-        series.append(metrics_mod.read_series(path))
+    series = [metrics_mod.read_series(_input_file(path, "csv")) for path in args.csv]
     labels = [os.path.splitext(os.path.basename(path))[0] for path in args.csv]
     if args.labels:
         labels = args.labels.split(",")  # plot_svg refuses a count other than the series'

@@ -294,10 +294,16 @@ _MARGIN_BOTTOM = 52
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 
-def _ticks(lo, hi, n=5):
+def _axis(arrays, p0, p1):
+    """One chart axis over the values in `arrays`: its five tick values, and the map
+    of a value to its pixel, which takes the data range onto `p0`..`p1`. A flat
+    range widens by 1 each way."""
+    lo = min(float(values.min()) for values in arrays)
+    hi = max(float(values.max()) for values in arrays)
     if lo == hi:
-        return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        lo, hi = lo - 1.0, hi + 1.0
+    span = hi - lo
+    return [lo + span * i / 4 for i in range(5)], lambda v: p0 + (v - lo) / span * (p1 - p0)
 
 
 def _line(x1, y1, x2, y2, stroke="black", width=""):
@@ -337,24 +343,10 @@ def plot_svg(series, labels, path, title: str = "") -> None:
             raise ValueError(f"series {i} ({labels[i]!r}) holds a non-finite value")
         clean.append((xs, ys))
 
-    xmin = min(float(xs.min()) for xs, _ in clean)
-    xmax = max(float(xs.max()) for xs, _ in clean)
-    ymin = min(float(ys.min()) for _, ys in clean)
-    ymax = max(float(ys.max()) for _, ys in clean)
-    if xmin == xmax:
-        xmin, xmax = xmin - 1.0, xmax + 1.0
-    if ymin == ymax:
-        ymin, ymax = ymin - 1.0, ymax + 1.0
-
     px0, px1 = _MARGIN_LEFT, SVG_WIDTH - _MARGIN_RIGHT
     py0, py1 = SVG_HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP
-
-    def sx(x):
-        return px0 + (x - xmin) / (xmax - xmin) * (px1 - px0)
-
-    def sy(y):
-        return py0 + (y - ymin) / (ymax - ymin) * (py1 - py0)
-
+    xticks, sx = _axis([xs for xs, _ in clean], px0, px1)
+    yticks, sy = _axis([ys for _, ys in clean], py0, py1)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -366,10 +358,10 @@ def plot_svg(series, labels, path, title: str = "") -> None:
     ]
     if title:
         out.append(_text(SVG_WIDTH // 2, 28, escape(title), size=18, anchor="middle"))
-    for x in _ticks(xmin, xmax):
+    for x in xticks:
         out += [_line(f"{sx(x):.2f}", py0, f"{sx(x):.2f}", py0 + 5),
                 _text(f"{sx(x):.2f}", py0 + 20, f"{x:.6g}", anchor="middle")]
-    for y in _ticks(ymin, ymax):
+    for y in yticks:
         out += [_line(px0 - 5, f"{sy(y):.2f}", px0, f"{sy(y):.2f}"),
                 _text(px0 - 9, f"{sy(y) + 4:.2f}", f"{y:.6g}", anchor="end")]
     for i, (xs, ys) in enumerate(clean):
