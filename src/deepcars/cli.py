@@ -138,6 +138,22 @@ def _write_snapshot(out_dir, *settings) -> str:
     return path
 
 
+# each file only one command writes into its --out, with that command and what it marks
+_OWN_FILES = {"qtable.txt": ("train-tabular", "a training run"),
+              "best.model": ("train-dqn", "a training run"),
+              "final.model": ("train-dqn", "a training run"),
+              "evaluation.txt": ("evaluate", "an evaluation")}
+
+
+def _check_out(args) -> None:
+    """Refuse an `--out` holding another command's own file, so a run directory
+    never mixes two commands' runs; re-running a command into its own is fine."""
+    for name, (owner, holds) in _OWN_FILES.items():
+        if owner != args.command and os.path.exists(os.path.join(args.out, name)):
+            raise CliUsageError(f"--out {args.out} holds {holds} ({owner}'s {name}); "
+                                f"give {args.command} another --out")
+
+
 def _print_accuracy(label, run: metrics_mod.RunMetrics):
     acc = run.accuracy()
     if acc is None:
@@ -210,8 +226,6 @@ def _load_model(path, config: EnvConfig):
 
 def cmd_evaluate(args) -> int:
     (config,) = _settings(args, EnvConfig)
-    if os.path.exists(os.path.join(args.out, "steps.csv")):  # keep a training run's record
-        raise CliUsageError(f"--out {args.out} holds a training run; evaluate elsewhere")
     run = evaluate(_load_model(args.model, config), config, args.steps, config.seed)
     _print_accuracy("evaluation", run)
     summary = os.path.join(args.out, "evaluation.txt")
@@ -321,6 +335,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if hasattr(args, "out"):  # the commands that write a run directory
+            _check_out(args)
         return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -297,13 +297,19 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 def _axis(arrays, p0, p1):
     """One chart axis over the values in `arrays`: its five tick values, and the map
     of a value to its pixel, which takes the data range onto `p0`..`p1`. A flat
-    range widens by 1 each way."""
+    range widens by 1 each way, or by two units in the last place where rounding
+    loses 1 (from 2**53 on); a range whose span or ticks overflow a float raises
+    ValueError."""
     lo = min(float(values.min()) for values in arrays)
     hi = max(float(values.max()) for values in arrays)
     if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
+        pad = 1.0 if lo - 1.0 != hi + 1.0 else 2 * math.ulp(lo)
+        lo, hi = lo - pad, hi + pad
     span = hi - lo
-    return [lo + span * i / 4 for i in range(5)], lambda v: p0 + (v - lo) / span * (p1 - p0)
+    ticks = [lo + span * i / 4 for i in range(5)]
+    if not all(map(math.isfinite, ticks)):  # an infinite span makes the first tick nan
+        raise ValueError(f"cannot chart values from {lo!r} to {hi!r}: the range overflows")
+    return ticks, lambda v: p0 + (v - lo) / span * (p1 - p0)
 
 
 def _line(x1, y1, x2, y2, stroke="black", width=""):

@@ -130,6 +130,50 @@ def test_evaluate_refuses_to_write_into_a_training_run(trained, tmp_path, capsys
     assert _tree_bytes(out) == before
 
 
+# a short run of each command that writes a run directory; {model} is a 3-lane q-table
+OUT_RUNS = {
+    "train-tabular": ["train-tabular", "--lanes", "3", "--steps", "100", "--seed", "1"],
+    "train-dqn": ["train-dqn", "--arch", "ddqn16", "--steps", "300", "--learn-start", "200",
+                  "--fast-val-period", "1000", "--fast-val-episodes", "1", "--seed", "1"],
+    "evaluate": ["evaluate", "--model", "{model}", "--lanes", "3", "--steps", "100",
+                 "--seed", "1"],
+}
+# the files that mark a directory as each command's run
+OWN_FILES = {"train-tabular": ["qtable.txt"], "train-dqn": ["best.model", "final.model"],
+             "evaluate": ["evaluation.txt"]}
+
+
+def _out_run(command, out, trained):
+    model = str(trained("tabular")[0] / "qtable.txt")
+    return [arg.format(model=model) for arg in OUT_RUNS[command]] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("held,command", [
+    (held, command) for held in OUT_RUNS for command in OUT_RUNS if held != command])
+def test_out_holding_another_commands_run_is_refused(trained, tmp_path, capsys, held, command):
+    # a train-dqn run, then a train-tabular run, into one --out once left 5-lane
+    # models beside a config.txt that said lanes=3
+    out = tmp_path / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(_out_run(held, out, trained)) == 0
+    before = _tree_bytes(out)
+    assert run(_out_run(command, out, trained)) == 2
+    assert f"--out {out} holds " in (err := capsys.readouterr().err)
+    assert f"({held}'s {OWN_FILES[held][0]})" in err
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("command", OUT_RUNS)
+def test_out_holding_its_own_commands_run_is_rewritten(trained, tmp_path, command):
+    out = tmp_path / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(_out_run(command, out, trained)) == 0
+        assert run(_out_run(command, out, trained)) == 0
+    assert all((out / name).is_file() for name in OWN_FILES[command])
+    others = {name for kind, names in OWN_FILES.items() if kind != command for name in names}
+    assert not others & set(os.listdir(out))
+
+
 def test_flag_precedence_flag_beats_file_beats_default(tmp_path):
     cfg = tmp_path / "env.cfg"
     cfg.write_text("lanes=4\nrows=6\noccupancy_prob=0.2\n")
@@ -185,6 +229,38 @@ def test_duplicate_config_key_is_usage_error(tmp_path, capsys):
     code = run(["train-tabular", "--config", str(cfg), "--steps", "10", "--out", str(out)])
     assert code == 2
     assert f"{cfg}:3: duplicate key 'lanes'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_line_without_an_equals_sign_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text("lanes=3\nrows 8\n")
+    out = tmp_path / "run"
+    code = run(["train-tabular", "--config", str(cfg), "--steps", "10", "--out", str(out)])
+    assert code == 2
+    assert f"{cfg}:2: expected key=value, got 'rows 8'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_invalid_config_value_is_refused_even_when_its_flag_is_given(tmp_path, capsys):
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text("rows=8\nlanes=three\n")
+    out = tmp_path / "run"
+    code = run(["train-tabular", "--config", str(cfg), "--lanes", "3", "--steps", "10",
+                "--out", str(out)])
+    assert code == 2
+    assert "invalid value for 'lanes': 'three'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_config_key_is_reported_before_an_invalid_value(tmp_path, capsys):
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text("lanes=three\nlanez=4\n")
+    out = tmp_path / "run"
+    code = run(["train-tabular", "--config", str(cfg), "--steps", "10", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown config key 'lanez'" in err and "invalid value" not in err
     assert not out.exists()
 
 

@@ -110,6 +110,17 @@ def test_td_targets_rejects_nonfinite_network():
         td_targets(batch, online, target, 0.9, double_q=False)
 
 
+def test_td_targets_rejects_nonfinite_online_network_for_double_q():
+    # the online net picks Double DQN's action, so its Q-values are checked too
+    online = net.init_params([4, 3], 0)
+    target = net.init_params([4, 3], 0)
+    online.theta[0] = np.inf
+    batch = _random_batch(np.random.default_rng(2), 4)
+    assert np.isfinite(td_targets(batch, online, target, 0.9, double_q=False)).all()
+    with pytest.raises(net.NumericError, match="online network produced non-finite"):
+        td_targets(batch, online, target, 0.9, double_q=True)
+
+
 def test_gradient_masking_on_output_layer():
     # TD loss touches only the taken action's output unit
     params = net.init_params([6, 4, 3], 5)
@@ -362,7 +373,7 @@ def test_hyperparam_validation():
     for name, value in [("target_sync_period", 100.5), ("train_steps", 2.5),
                         ("fast_validation_episodes", 2.5), ("batch_size", True),
                         ("hidden_layers", [16, 16]), ("hidden_layers", (16, 0)),
-                        ("hidden_layers", (16.0,))]:
+                        ("hidden_layers", (16.0,)), ("gamma", 1.0), ("gamma", -0.1)]:
         with pytest.raises(ValueError, match=name):
             DqnHyperparams(**{name: value})
     numpy_counts = DqnHyperparams(batch_size=np.int64(8), hidden_layers=(np.int64(4),))

@@ -83,6 +83,7 @@ def test_reset_three_lanes_starts_middle():
         (dict(max_episode_steps=10.5), "max_episode_steps"),
         (dict(seed=True), "seed"),
         (dict(lanes=np.float64(3.0)), "lanes"),
+        (dict(seed=2**64), "seed must be an unsigned 64-bit integer"),
     ],
 )
 def test_config_bounds_rejected(kwargs, fragment):

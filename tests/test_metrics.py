@@ -161,6 +161,14 @@ def test_non_monotone_steps_rejected(tmp_path):
         read_csv(tmp_path)
 
 
+@pytest.mark.parametrize("rows", ["", "3,1\n4,0\n"], ids=["none", "two"])
+def test_summary_other_than_one_row_is_refused(tmp_path, rows):
+    write_csv(_sample_metrics(), tmp_path)
+    (tmp_path / "summary.csv").write_text("passed,collided\n" + rows)
+    with pytest.raises(CsvParseError, match="summary.csv: expected exactly one summary row"):
+        read_csv(tmp_path)
+
+
 def test_failed_csv_write_keeps_old_file(tmp_path):
     write_csv(_sample_metrics(), tmp_path)
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
@@ -222,6 +230,9 @@ def test_numpy_cells_are_written_by_their_column_type(tmp_path):
         ("validations", (1, float("nan"), 50.0, True), ValueError),
         ("validations", (1, 1.0, float("inf"), False), ValueError),
         ("validations", (1, 1.0, np.float64("-inf"), False), ValueError),
+        # a windows or validations record of another width, which write_csv counts
+        ("windows", (0, 1.0, 2.0), ValueError),
+        ("validations", (1, 1.0, 50.0), ValueError),
     ],
 )
 def test_cell_its_column_cannot_hold_is_refused_at_write_time(tmp_path, family, record, error):
@@ -340,6 +351,42 @@ def test_plot_bytes_without_a_title_are_pinned(tmp_path):
     plot_svg([([0, 1, 2], [5.0, 5.0, 5.0]), ([0.5, 2], [5.0, 5.0])], ["a<b & c", "flat"], path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "540a4fbf5156828108a95cc0677767f8b5614280ccf6ea6288786f9c10fa9795"
+
+
+def _coordinates(text):
+    """Every number written into an x, y or points attribute of a chart."""
+    cells = re.findall(r' (?:x1?|y1?|x2|y2)="([^"]*)"', text)
+    cells += [c for points in re.findall(r'points="([^"]*)"', text)
+              for c in points.replace(",", " ").split()]
+    return [float(c) for c in cells]
+
+
+@pytest.mark.parametrize("value", [1e17, -1e17, 2.0**60, 1e300, -1.5e308], ids=repr)
+@pytest.mark.parametrize("axis", ["xs", "ys"])
+def test_plot_widens_a_flat_range_where_1_is_lost_to_rounding(tmp_path, value, axis):
+    # 1e17 +/- 1 rounds back to 1e17, so the widened span was 0: "float division by zero"
+    flat, rising = [value, value], [0.0, 1.0]
+    series = [(flat, rising) if axis == "xs" else (rising, flat)]
+    path = tmp_path / "chart.svg"
+    plot_svg(series, ["flat"], path)
+    cells = _coordinates(path.read_text())
+    assert cells and all(np.isfinite(cells))
+    points = path.read_text().split('points="')[1].split('"')[0].split()
+    middle = "504.00" if axis == "xs" else "268.00"  # the flat value sits mid-axis
+    assert {p.split(",")[0 if axis == "xs" else 1] for p in points} == {middle}
+
+
+@pytest.mark.parametrize("values", [[-1e308, 1e308], [0.0, 1.7e308], [9e307, 1.7e308]],
+                         ids=["span", "span-from-0", "ticks"])
+@pytest.mark.parametrize("axis", ["xs", "ys"])
+def test_plot_refuses_a_range_that_overflows_before_writing(tmp_path, values, axis):
+    # hi - lo (or a tick, lo + span * i / 4) overflowed to inf, and the chart was
+    # written with nan coordinates
+    series = [(values, [0.0, 1.0]) if axis == "xs" else ([0.0, 1.0], values)]
+    path = tmp_path / "chart.svg"
+    with pytest.raises(ValueError, match="the range overflows"):
+        plot_svg(series, ["wide"], path)
+    assert not path.exists()
 
 
 def test_plot_rejects_empty_series(tmp_path):

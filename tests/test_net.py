@@ -119,6 +119,14 @@ def test_backward_batch_is_sum_of_samples():
     assert np.allclose(whole, parts, atol=1e-12)
 
 
+@pytest.mark.parametrize("x_shape,g_shape", [((2, 4), (3, 3)), ((4,), (1, 3)), ((1, 4), (3,))])
+def test_backward_batch_mismatch(x_shape, g_shape):
+    # a vector against a one-row batch counts as a mismatch too
+    p = net.init_params([4, 3], 0)
+    with pytest.raises(ShapeError, match="does not match gradient batch"):
+        net.backward(p, np.ones(x_shape), np.ones(g_shape))
+
+
 def test_sgd_step_examples():
     p = _zero_params([1, 1])
     p.theta[0] = 1.0
@@ -169,6 +177,14 @@ def test_gradient_step_rejects_nonfinite():
     opt = net.make_optimizer(p, "sgd", 0.1)
     with pytest.raises(NumericError):
         net.gradient_step(p, np.array([np.nan, 0.0, 0.0]), opt)
+
+
+def test_gradient_step_shape_mismatch():
+    p = _zero_params([2, 1])
+    opt = net.make_optimizer(p, "sgd", 0.1)
+    with pytest.raises(ShapeError, match=r"gradient shape \(2,\) does not match parameters \(3,\)"):
+        net.gradient_step(p, np.zeros(2), opt)
+    assert opt.step_count == 0 and not p.theta.any()
 
 
 def test_init_deterministic_and_shaped():
@@ -362,11 +378,15 @@ def test_save_model_refuses_a_non_finite_value_before_writing(tmp_path, bad):
         # a blank line after the header, read in the place of block w0, and a "\r"
         ("optimizer ", "optimizer adam\n", "block 'w0' has 0 values, expected 172"),
         ("b1 ", "b1 0.0 0.0 0.0\r", "block 'b1' is not as saved"),
+        ("format ", "dims 43,4,3", "missing format header"),
+        ("optimizer ", "optimiser adam", "malformed header"),
+        ("b1 ", "b1 0.0 0.0 0.0\nw2 0.0", "expected 4 parameter lines, found 5"),
     ],
     ids=["bad-float", "bad-int-dims", "negative-dims", "one-layer-dims",
          "underscore-dims", "leading-zero-dims", "spaced-dims", "underscore-and-plus-weights",
          "trailing-zero-weight", "exponent-weight", "double-space-weights",
-         "unknown-optimizer", "capitalised-optimizer", "blank-line", "crlf-line"],
+         "unknown-optimizer", "capitalised-optimizer", "blank-line", "crlf-line",
+         "no-format-line", "misspelt-optimizer-line", "extra-line"],
 )
 def test_malformed_model_names_file_and_block(tmp_path, line, replacement, message):
     # a model file is read only as save_model writes it, as CSVs and q-tables are

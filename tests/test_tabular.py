@@ -317,10 +317,14 @@ def test_saved_rows_are_the_keys_joined_in_sorted_order(tmp_path):
         ("", "missing '|'"),
         ("  1 0 3 3 | 0.5 0.0 -0.5  ", "malformed record"),
         ("1 0 3 3 | 0.5 0.0 -0.5\r", "malformed record"),
+        ("1 0.5 3 3 | 0.5 0.0 -0.5", "malformed record"),
+        ("1 | 0.5 0.0 -0.5", "expected ego\\+distances and 3 Q-values"),
+        ("1 0 3 3 | 0.5 0.0", "expected ego\\+distances and 3 Q-values"),
     ],
     ids=["no-separator", "nan", "inf", "repeated", "negative-distance",
          "underscore-in-state", "int-q-value", "plus-q-value",
-         "blank-line", "padded-line", "crlf-line"],
+         "blank-line", "padded-line", "crlf-line", "non-integer-state", "ego-only",
+         "two-q-values"],
 )
 def test_qtable_parse_error_names_line(tmp_path, line, message):
     path = tmp_path / "qtable.txt"
