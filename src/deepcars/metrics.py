@@ -298,7 +298,7 @@ def _axis(arrays, p0, p1):
     """One chart axis over the values in `arrays`: its five tick values, and the map
     of a value to its pixel, which takes the data range onto `p0`..`p1`. A flat
     range widens by 1 each way, or by two units in the last place where rounding
-    loses 1 (from 2**53 on); a range whose span or ticks overflow a float raises
+    loses 1 (only beyond 2**53); a range whose span or ticks overflow a float raises
     ValueError."""
     lo = min(float(values.min()) for values in arrays)
     hi = max(float(values.max()) for values in arrays)
