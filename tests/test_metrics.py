@@ -353,14 +353,6 @@ def test_plot_bytes_without_a_title_are_pinned(tmp_path):
     assert digest == "540a4fbf5156828108a95cc0677767f8b5614280ccf6ea6288786f9c10fa9795"
 
 
-def _coordinates(text):
-    """Every number written into an x, y or points attribute of a chart."""
-    cells = re.findall(r' (?:x1?|y1?|x2|y2)="([^"]*)"', text)
-    cells += [c for points in re.findall(r'points="([^"]*)"', text)
-              for c in points.replace(",", " ").split()]
-    return [float(c) for c in cells]
-
-
 @pytest.mark.parametrize("value", [1e17, -1e17, 2.0**60, 1e300, -1.5e308], ids=repr)
 @pytest.mark.parametrize("axis", ["xs", "ys"])
 def test_plot_widens_a_flat_range_where_1_is_lost_to_rounding(tmp_path, value, axis):
@@ -369,9 +361,9 @@ def test_plot_widens_a_flat_range_where_1_is_lost_to_rounding(tmp_path, value, a
     series = [(flat, rising) if axis == "xs" else (rising, flat)]
     path = tmp_path / "chart.svg"
     plot_svg(series, ["flat"], path)
-    cells = _coordinates(path.read_text())
-    assert cells and all(np.isfinite(cells))
-    points = path.read_text().split('points="')[1].split('"')[0].split()
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
+    points = text.split('points="')[1].split('"')[0].split()
     middle = "504.00" if axis == "xs" else "268.00"  # the flat value sits mid-axis
     assert {p.split(",")[0 if axis == "xs" else 1] for p in points} == {middle}
 
