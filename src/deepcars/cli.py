@@ -201,11 +201,11 @@ def cmd_train_dqn(args) -> int:
     final_path = os.path.join(args.out, "final.model")
     best_path = os.path.join(args.out, "best.model")
     net.save_model(final, final_path, hp.optimizer)
-    net.save_model(best.params, best_path, hp.optimizer)
+    net.save_model(best, best_path, hp.optimizer)
+    step, reward, *_ = [row for row in run.validations if row[3]][-1]  # the best net's row
     return _finish_training(
         args, run, config, hp,
-        f"best checkpoint: step {best.training_step}, "
-        f"mean validation reward {best.mean_validation_reward:.2f}",
+        f"best checkpoint: step {step}, mean validation reward {reward:.2f}",
         f"models: {best_path}, {final_path}",
     )
 

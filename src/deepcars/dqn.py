@@ -79,13 +79,6 @@ class DqnHyperparams:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
 
 
-@dataclass(eq=False)
-class Checkpoint:
-    params: MlpParams
-    mean_validation_reward: float
-    training_step: int
-
-
 def epsilon_at(hp: DqnHyperparams, step_index: int) -> float:
     """Linear schedule over step indices starting at 0."""
     if step_index >= hp.epsilon_decay_steps:
@@ -170,7 +163,7 @@ class DqnTrainer:
         self.opt = net.make_optimizer(self.online, hp.optimizer, hp.learning_rate)
         self.buffer = ReplayBuffer(hp.replay_capacity, state_dim, np.uint8)  # states are 0/1
         self.metrics = RunMetrics()
-        self.best: Checkpoint | None = None
+        self.best: MlpParams | None = None  # a copy of `online` at its best validation
         self.step_index = 0
 
     # -- one full Algorithm-style iteration ---------------------------------
@@ -218,30 +211,28 @@ class DqnTrainer:
         seed = roll_seed(np.random.default_rng(np.random.SeedSequence([self._val_master, step])))
         run = validate(self.online, self.config, episodes, seed)
         mean_reward = sum(run.episode_rewards) / episodes
-        is_best = self.best is None or mean_reward > self.best.mean_validation_reward
+        # the first row is a new best, a later one only if strictly above every earlier row
+        is_best = all(mean_reward > row[1] for row in self.metrics.validations)
         if is_best:
-            self.best = Checkpoint(
-                params=net.clone(self.online),
-                mean_validation_reward=mean_reward,
-                training_step=step,
-            )
+            self.best = net.clone(self.online)
         self.metrics.validations.append((step, mean_reward, run.accuracy(), is_best))
 
-    def run(self) -> tuple[Checkpoint, MlpParams, RunMetrics]:
+    def run(self) -> tuple[MlpParams, MlpParams, RunMetrics]:
+        """Train to `train_steps`; returns (best params, final params, metrics). The best
+        net's step and mean reward are the last `is_new_best` row of `metrics.validations`."""
         hp = self.hp
         if hp.train_steps < hp.learn_start:  # the first gradient step comes at step learn_start
             raise ValueError(f"train_steps {hp.train_steps} is below learn_start {hp.learn_start}: "
                              "training would never learn")
         while self.step_index < hp.train_steps:
             self.train_step()
-        if self.best is None:
-            # short runs that never hit a validation period still get a checkpoint
+        if self.best is None:  # a short run that never hit a validation period still gets one
             self._validation_phase(self.step_index, hp.fast_validation_episodes)
         return self.best, self.online, self.metrics
 
 
 def train_dqn(
     config: EnvConfig, hp: DqnHyperparams, seed: int
-) -> tuple[Checkpoint, MlpParams, RunMetrics]:
-    """Full training loop; returns (best checkpoint, final params, metrics)."""
+) -> tuple[MlpParams, MlpParams, RunMetrics]:
+    """Full training loop; returns (best params, final params, metrics), as `DqnTrainer.run`."""
     return DqnTrainer(config, hp, seed).run()

@@ -57,14 +57,15 @@ def test_criterion_2_ddqn_desk_scale():
     config = EnvConfig()
     hp = DqnHyperparams(train_steps=150_000, double_q=True, hidden_layers=(16, 16))
     best, final, run = train_dqn(config, hp, seed=7)
-    eval_run = evaluate(greedy_policy(best.params, config), config, steps=12_000, seed=4242)
+    eval_run = evaluate(greedy_policy(best, config), config, steps=12_000, seed=4242)
     elapsed = time.time() - start
     acc = eval_run.accuracy()
     ok = acc is not None and acc >= 99.0 and elapsed < 900.0
+    best_step = [row for row in run.validations if row[3]][-1][0]
     report(
         2,
         ok,
-        f"DDQN-16x16, 150k steps, best checkpoint @{best.training_step}: "
+        f"DDQN-16x16, 150k steps, best checkpoint @{best_step}: "
         f"accuracy {acc:.3f}% over 12k eval steps (need >= 99), "
         f"{elapsed:.0f}s (need < 900)",
     )

@@ -175,18 +175,51 @@ def test_overfit_single_frozen_batch():
     assert loss() < first * 0.5
 
 
+def _best_row(metrics):
+    """The last `is_new_best` validation row: the best net's step and mean reward."""
+    return [rec for rec in metrics.validations if rec[3]][-1]
+
+
 def test_checkpoint_monotonicity_and_validation_log():
     best, final, metrics = train_dqn(SMALL_CFG, SMALL_HP, seed=21)
-    assert best is not None
+    assert isinstance(best, net.MlpParams) and best.layer_dims == final.layer_dims
     bests = [rec for rec in metrics.validations if rec[3]]
     scores = [rec[1] for rec in bests]
     assert scores == sorted(scores)
     assert all(b > a for a, b in zip(scores, scores[1:]))
-    assert best.mean_validation_reward == scores[-1]
-    assert any(rec[0] == best.training_step for rec in bests)
+    # the best row holds the top score, at the first step that reached it
+    step, reward, _, _ = _best_row(metrics)
+    assert reward == max(rec[1] for rec in metrics.validations)
+    assert step == min(rec[0] for rec in metrics.validations if rec[1] == reward)
     # both cadences fired
     steps = {rec[0] for rec in metrics.validations}
     assert 500 in steps and 1500 in steps
+
+
+@pytest.mark.parametrize(
+    "world,seed", [({}, 2), ({"occupancy_prob": 0.0}, 3)], ids=["default", "empty-road"]
+)
+def test_best_is_the_online_net_cloned_at_the_last_new_best_row(world, seed):
+    config = replace(SMALL_CFG, **world)
+    trainer = DqnTrainer(config, SMALL_HP, seed=seed)
+    clones = {}  # step -> bytes of `online` right after that step's validation phase
+    while trainer.step_index < SMALL_HP.train_steps:
+        trainer.train_step()
+        if len(trainer.metrics.validations) > len(clones):
+            clones[trainer.step_index] = trainer.online.theta.tobytes()
+    rows = trainer.metrics.validations
+    assert [row[0] for row in rows] == list(clones) == [500, 1000, 1500, 2000]
+    # a row is a new best when it is the first or strictly above every earlier row
+    top = None
+    for _, reward, _, is_best in rows:
+        assert is_best == (top is None or reward > top)
+        top = reward if top is None else max(top, reward)
+    step = [row[0] for row in rows if row[3]][-1]
+    assert step != rows[-1][0] and clones[step] != clones[rows[-1][0]]  # a later net differs
+    assert trainer.best.theta.tobytes() == clones[step]
+    assert not np.shares_memory(trainer.best.theta, trainer.online.theta)
+    if world:  # no car on the road: every validation ties, so the first row stays the best
+        assert len({row[1] for row in rows}) == 1 and step == rows[0][0]
 
 
 def test_training_is_deterministic():
@@ -195,7 +228,8 @@ def test_training_is_deterministic():
     assert np.array_equal(r1[1].theta, r2[1].theta)
     assert r1[2].steps == r2[2].steps
     assert r1[2].validations == r2[2].validations
-    assert r1[0].training_step == r2[0].training_step
+    assert _best_row(r1[2]) == _best_row(r2[2])
+    assert r1[0].theta.tobytes() == r2[0].theta.tobytes()
 
 
 @pytest.mark.parametrize("double_q", [False, True], ids=["dqn", "ddqn"])
@@ -215,9 +249,8 @@ def test_uint8_replay_trains_the_bits_of_a_float64_replay(double_q):
     assert small.opt.v.tobytes() == wide.opt.v.tobytes()
     assert small.opt.step_count == wide.opt.step_count == 1_200 - hp.learn_start + 1
     (best_s, _, metrics_s), (best_w, _, metrics_w) = runs
-    assert best_s.params.theta.tobytes() == best_w.params.theta.tobytes()
-    assert (best_s.mean_validation_reward, best_s.training_step) == (
-        best_w.mean_validation_reward, best_w.training_step)
+    assert best_s.theta.tobytes() == best_w.theta.tobytes()
+    assert _best_row(metrics_s) == _best_row(metrics_w)
     assert metrics_equal(metrics_s, metrics_w)
     assert metrics_s.steps == metrics_w.steps and len(metrics_s.steps) == 1_200
     assert metrics_s.validations == metrics_w.validations and len(metrics_s.validations) == 4
@@ -392,8 +425,8 @@ def test_train_dqn_that_could_never_learn_is_refused():
     # 199-step run would save an untrained net as both of its models
     with pytest.raises(ValueError, match="train_steps 199 .*learn_start 200"):
         train_dqn(SMALL_CFG, replace(SMALL_HP, train_steps=199), seed=1)
-    best, _, _ = train_dqn(SMALL_CFG, replace(SMALL_HP, train_steps=200), seed=1)
-    assert best.training_step == 200
+    _, _, metrics = train_dqn(SMALL_CFG, replace(SMALL_HP, train_steps=200), seed=1)
+    assert _best_row(metrics)[0] == 200
     trainer = DqnTrainer(SMALL_CFG, replace(SMALL_HP, train_steps=200), seed=1)
     trainer.run()
     assert trainer.opt.step_count == 1
@@ -431,8 +464,7 @@ def test_copied_trainer_continues_bit_identically(duplicate):
     for name in ("m", "v"):
         assert getattr(twin.opt, name).tobytes() == getattr(trainer.opt, name).tobytes()
     assert twin.opt.step_count == trainer.opt.step_count
-    assert twin.best.params.theta.tobytes() == trainer.best.params.theta.tobytes()
-    assert twin.best.training_step == trainer.best.training_step
-    assert twin.best.mean_validation_reward == trainer.best.mean_validation_reward
+    assert twin.best.theta.tobytes() == trainer.best.theta.tobytes()
+    assert _best_row(twin.metrics) == _best_row(trainer.metrics)
     assert len(trainer.metrics.validations) == 3
     assert metrics_equal(twin.metrics, trainer.metrics)
