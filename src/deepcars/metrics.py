@@ -295,8 +295,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 
 def _axis(arrays, p0, p1):
-    """One chart axis over the values in `arrays`: its five tick values, and the map
-    of a value to its pixel, which takes the data range onto `p0`..`p1`. A flat
+    """One chart axis over the values in `arrays`: its five (tick value, label) pairs,
+    and the map of a value to its pixel, which takes the data range onto `p0`..`p1`. A flat
     range widens by 1 each way, or by two units in the last place where rounding
     loses 1 (only beyond 2**53); a range whose span or ticks overflow a float raises
     ValueError."""
@@ -309,7 +309,17 @@ def _axis(arrays, p0, p1):
     ticks = [lo + span * i / 4 for i in range(5)]
     if not all(map(math.isfinite, ticks)):  # an infinite span makes the first tick nan
         raise ValueError(f"cannot chart values from {lo!r} to {hi!r}: the range overflows")
-    return ticks, lambda v: p0 + (v - lo) / span * (p1 - p0)
+    return list(zip(ticks, _tick_labels(ticks))), lambda v: p0 + (v - lo) / span * (p1 - p0)
+
+
+def _tick_labels(ticks):
+    """The labels of `ticks`, at the fewest significant digits from 6 up to 17 that
+    tell them apart; at 17, which tells any two floats apart, when no fewer do."""
+    for digits in range(6, 18):
+        labels = [f"{tick:.{digits}g}" for tick in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 def _line(x1, y1, x2, y2, stroke="black", width=""):
@@ -364,12 +374,12 @@ def plot_svg(series, labels, path, title: str = "") -> None:
     ]
     if title:
         out.append(_text(SVG_WIDTH // 2, 28, escape(title), size=18, anchor="middle"))
-    for x in xticks:
+    for x, label in xticks:
         out += [_line(f"{sx(x):.2f}", py0, f"{sx(x):.2f}", py0 + 5),
-                _text(f"{sx(x):.2f}", py0 + 20, f"{x:.6g}", anchor="middle")]
-    for y in yticks:
+                _text(f"{sx(x):.2f}", py0 + 20, label, anchor="middle")]
+    for y, label in yticks:
         out += [_line(px0 - 5, f"{sy(y):.2f}", px0, f"{sy(y):.2f}"),
-                _text(px0 - 9, f"{sy(y) + 4:.2f}", f"{y:.6g}", anchor="end")]
+                _text(px0 - 9, f"{sy(y) + 4:.2f}", label, anchor="end")]
     for i, (xs, ys) in enumerate(clean):
         color = _PALETTE[i % len(_PALETTE)]
         points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))

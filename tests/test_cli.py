@@ -174,6 +174,29 @@ def test_out_holding_its_own_commands_run_is_rewritten(trained, tmp_path, comman
     assert not others & set(os.listdir(out))
 
 
+@pytest.mark.parametrize("command", OUT_RUNS)
+@pytest.mark.parametrize("kind", ["file", "dangling-symlink"])
+def test_out_naming_a_file_is_refused_before_any_work(trained, tmp_path, capsys, kind, command):
+    # the whole run once went ahead, then failed to write with "[Errno 17] File exists"
+    # (exit 1); evaluate printed its accuracy first
+    out = tmp_path / "F"
+    if kind == "file":
+        out.write_bytes(b"not a run\n")
+    else:
+        out.symlink_to(tmp_path / "nowhere")
+    argv = _out_run(command, out, trained)
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out} is not a directory; give {command} another --out\n"
+    assert sorted(os.listdir(tmp_path)) == ["F"]
+    if kind == "file":
+        assert out.read_bytes() == b"not a run\n"
+    else:
+        assert os.readlink(out) == str(tmp_path / "nowhere")
+
+
 def test_flag_precedence_flag_beats_file_beats_default(tmp_path):
     cfg = tmp_path / "env.cfg"
     cfg.write_text("lanes=4\nrows=6\noccupancy_prob=0.2\n")

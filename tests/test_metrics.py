@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import re
 import tracemalloc
@@ -379,6 +380,49 @@ def test_plot_refuses_a_range_that_overflows_before_writing(tmp_path, values, ax
     with pytest.raises(ValueError, match="the range overflows"):
         plot_svg(series, ["wide"], path)
     assert not path.exists()
+
+
+def _tick_labels_of(path, axis):
+    """The five tick labels a chart in `path` writes on `axis`, "xs" or "ys", in order."""
+    anchor = "middle" if axis == "xs" else "end"
+    return re.findall(rf'text-anchor="{anchor}">([^<]*)</text>', path.read_text())
+
+
+def _chart_on(tmp_path, axis, values):
+    """Chart `values` on `axis` against 0, 1, ...; the path of the chart, which has no title."""
+    other = [float(i) for i in range(len(values))]
+    path = tmp_path / "chart.svg"
+    plot_svg([(values, other) if axis == "xs" else (other, values)], ["run"], path)
+    return path
+
+
+@pytest.mark.parametrize("axis", ["xs", "ys"])
+def test_plot_labels_a_range_narrow_against_its_magnitude_apart(tmp_path, axis):
+    # at 6 digits every tick of 1e6 .. 1e6 + 0.5 read "1e+06"; 8 is the fewest that differ
+    path = _chart_on(tmp_path, axis, [1000000.0, 1000000.5])
+    assert _tick_labels_of(path, axis) == [
+        "1000000", "1000000.1", "1000000.2", "1000000.4", "1000000.5"]
+
+
+@pytest.mark.parametrize("value", [1e17, -1e17, 2.0**60], ids=repr)
+@pytest.mark.parametrize("axis", ["xs", "ys"])
+def test_plot_labels_a_flat_range_widened_past_2_53_apart(tmp_path, value, axis):
+    # widened by two units in the last place each way, the ticks differ only in the
+    # 17th digit; at 6 digits all five labels read the same
+    labels = _tick_labels_of(_chart_on(tmp_path, axis, [value, value]), axis)
+    assert len(set(labels)) == 5
+    assert [float(label) for label in labels] == sorted(float(label) for label in labels)
+    assert float(labels[2]) == value
+
+
+@pytest.mark.parametrize("axis", ["xs", "ys"])
+def test_plot_labels_ticks_that_are_not_distinct_with_17_digits(tmp_path, axis):
+    # a span of one unit in the last place rounds the five ticks onto its two ends,
+    # so no digit count tells the labels apart; 17 digits name each tick exactly
+    top = math.nextafter(1.0, 2.0)
+    labels = _tick_labels_of(_chart_on(tmp_path, axis, [1.0, top]), axis)
+    assert [float(label) for label in labels] == [1.0, 1.0, 1.0, top, top]
+    assert labels[-1] == "1.0000000000000002"
 
 
 def test_plot_rejects_empty_series(tmp_path):
