@@ -296,10 +296,10 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 def _axis(arrays, p0, p1):
     """One chart axis over the values in `arrays`: its five (tick value, label) pairs,
-    and the map of a value to its pixel, which takes the data range onto `p0`..`p1`. A flat
-    range widens by 1 each way, or by two units in the last place where rounding
-    loses 1 (only beyond 2**53); a range whose span or ticks overflow a float raises
-    ValueError."""
+    and the map of a value to its pixel, which takes the data range onto `p0`..`p1`.
+    A flat range widens by 1 each way, or by two units in the last place where
+    rounding loses 1 (only beyond 2**53); a range whose span or ticks overflow a
+    float raises ValueError."""
     lo = min(float(values.min()) for values in arrays)
     hi = max(float(values.max()) for values in arrays)
     if lo == hi:

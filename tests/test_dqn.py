@@ -214,7 +214,7 @@ def test_best_is_the_online_net_cloned_at_the_last_new_best_row(world, seed):
     for _, reward, _, is_best in rows:
         assert is_best == (top is None or reward > top)
         top = reward if top is None else max(top, reward)
-    step = [row[0] for row in rows if row[3]][-1]
+    step = _best_row(trainer.metrics)[0]
     assert step != rows[-1][0] and clones[step] != clones[rows[-1][0]]  # a later net differs
     assert trainer.best.theta.tobytes() == clones[step]
     assert not np.shares_memory(trainer.best.theta, trainer.online.theta)
