@@ -65,6 +65,13 @@ COMMANDS = (
                    "--fast-val-episodes", "5", "--seed", "13", "--out", "ddqn-ring"]),
     ("medium", ["train-dqn", "--arch", "medium", "--steps", "3000", "--seed", "3",
                 "--fast-val-period", "1000", "--fast-val-episodes", "5", "--out", "medium"]),
+    # the two wider paper architectures, 32-64-32 and 64-128-128-64
+    ("shallow", ["train-dqn", "--arch", "shallow", "--steps", "2000", "--learn-start", "500",
+                 "--fast-val-period", "1000", "--fast-val-episodes", "5", "--seed", "14",
+                 "--out", "shallow"]),
+    ("deep", ["train-dqn", "--arch", "deep", "--steps", "1200", "--learn-start", "400",
+              "--fast-val-period", "600", "--fast-val-episodes", "3", "--seed", "15",
+              "--out", "deep"]),
     ("eval-tab", ["evaluate", "--model", "tab/qtable.txt", "--lanes", "3", "--steps", "20000",
                   "--seed", "2", "--out", "eval-tab"]),
     ("eval-tab2", ["evaluate", "--model", "tab2/qtable.txt", "--lanes", "2", "--rows", "3",
@@ -76,6 +83,8 @@ COMMANDS = (
     # 12 steps or sooner, while cars still reach the ego
     ("eval-short", ["evaluate", "--model", "ddqn/best.model", "--max-episode-steps", "12",
                     "--steps", "3000", "--seed", "5", "--out", "eval-short"]),
+    ("eval-deep", ["evaluate", "--model", "deep/best.model", "--steps", "3000", "--seed", "16",
+                   "--out", "eval-deep"]),
     ("demo-tab", ["demo", "--model", "tab/qtable.txt", "--lanes", "3", "--episodes", "2",
                   "--seed", "3"]),
     ("demo-mlp", ["demo", "--model", "ddqn/best.model", "--episodes", "2", "--seed", "3"]),
