@@ -13,37 +13,33 @@ import numpy as np
 HAVE_NUMBA = NUMBA_ENABLED = False
 
 
+def _layer_inputs(layers, x):
+    """The input of every layer: `x`, then each hidden layer's relu output."""
+    acts = [x]
+    for wt, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1].dot(wt) + b, 0.0))
+    return acts
+
+
 def mlp_forward(layers, x):
     """Dense pass over `layers`, one (W.T, b) pair per layer; relu on hidden layers.
 
     ndarray.dot reaches the same BLAS products as `@` (bit-identical results)
     at a fraction of its dispatch cost, which dominates at these sizes.
     """
-    a = x
-    last = len(layers) - 1
-    for k, (wt, b) in enumerate(layers):
-        a = a.dot(wt) + b
-        if k != last:
-            a = np.maximum(a, 0.0)
-    return a
+    wt, b = layers[-1]
+    return _layer_inputs(layers, x)[-1].dot(wt) + b
 
 
 def mlp_backward(layers, x, dout):
-    # inputs of every layer: x, then the hidden activations (post-relu)
-    acts = [x]
-    for wt, b in layers[:-1]:
-        acts.append(np.maximum(acts[-1].dot(wt) + b, 0.0))
-
-    # per-layer blocks collected output first, bias before weight, then reversed
-    blocks = []
+    acts = _layer_inputs(layers, x)
+    grad = []
     delta = dout
     for k in range(len(layers) - 1, -1, -1):
-        blocks.append(delta.sum(axis=0))
-        blocks.append(delta.T.dot(acts[k]).ravel())
+        grad[:0] = (delta.T.dot(acts[k]).ravel(), delta.sum(axis=0))
         if k > 0:
             delta = delta.dot(layers[k][0].T) * (acts[k] > 0.0)
-    blocks.reverse()
-    return np.concatenate(blocks)
+    return np.concatenate(grad)
 
 
 # Adam's decay rates of the gradient's first and second moments, and its denominator's floor

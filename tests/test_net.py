@@ -75,6 +75,19 @@ def test_vector_forward_is_bit_equal_to_one_row_batch(dims):
         assert dqn.greedy_action(p, x) == int(row.argmax())
 
 
+@pytest.mark.parametrize("rows", [None, 1, 32])
+def test_dense_passes_leave_their_inputs_unchanged(rows):
+    # a vector (None) or a batch; the backward takes a vector as its one-row batch
+    rng = np.random.default_rng(4)
+    p = net.init_params([43, 32, 64, 32, 3], 0)
+    x = rng.normal(0.0, 1.0, 43 if rows is None else (rows, 43))
+    dout = rng.normal(0.0, 1.0, (np.atleast_2d(x).shape[0], 3))
+    before = x.tobytes(), dout.tobytes(), p.theta.tobytes()
+    kernels.mlp_forward(p.layers, x)
+    kernels.mlp_backward(p.layers, np.atleast_2d(x), dout)
+    assert (x.tobytes(), dout.tobytes(), p.theta.tobytes()) == before
+
+
 def test_forward_shape_mismatch():
     p = _zero_params([4, 3])
     with pytest.raises(ShapeError, match="input must have width 4"):
