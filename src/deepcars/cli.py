@@ -146,11 +146,15 @@ _OWN_FILES = {"qtable.txt": ("train-tabular", "a training run"),
 
 
 def _check_out(args) -> None:
-    """Refuse an `--out` that is not a directory, which no run could be written into, or
-    one holding another command's own file, so a run directory never mixes two
-    commands' runs; re-running a command into its own is fine."""
-    if os.path.lexists(args.out) and not os.path.isdir(args.out):
-        raise CliUsageError(f"--out {args.out} is not a directory; "
+    """Refuse an `--out` that is not a directory or lies below one that is not, which
+    no run could be written into, or one holding another command's own file, so a run
+    directory never mixes two commands' runs; re-running a command into its own is fine."""
+    path = args.out
+    while path and not os.path.lexists(path):  # up to the nearest existing path
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        below = "" if path == args.out else f" is below {path}, which"
+        raise CliUsageError(f"--out {args.out}{below} is not a directory; "
                             f"give {args.command} another --out")
     for name, (owner, holds) in _OWN_FILES.items():
         if owner != args.command and os.path.exists(os.path.join(args.out, name)):

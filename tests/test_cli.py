@@ -197,6 +197,25 @@ def test_out_naming_a_file_is_refused_before_any_work(trained, tmp_path, capsys,
         assert os.readlink(out) == str(tmp_path / "nowhere")
 
 
+@pytest.mark.parametrize("command", OUT_RUNS)
+@pytest.mark.parametrize("below", ["sub", "a/b"])
+def test_out_below_a_file_is_refused_before_any_work(trained, tmp_path, capsys, below, command):
+    # the whole run once went ahead, then failed to write with "[Errno 20] Not a directory"
+    # (exit 1)
+    parent = tmp_path / "G"
+    parent.write_bytes(b"not a run\n")
+    out = parent / below
+    argv = _out_run(command, out, trained)
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --out {out} is below {parent}, which is not a directory; "
+                            f"give {command} another --out\n")
+    assert sorted(os.listdir(tmp_path)) == ["G"]
+    assert parent.read_bytes() == b"not a run\n"
+
+
 def test_flag_precedence_flag_beats_file_beats_default(tmp_path):
     cfg = tmp_path / "env.cfg"
     cfg.write_text("lanes=4\nrows=6\noccupancy_prob=0.2\n")
