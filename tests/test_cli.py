@@ -200,8 +200,7 @@ def test_out_naming_a_file_is_refused_before_any_work(trained, tmp_path, capsys,
 @pytest.mark.parametrize("command", OUT_RUNS)
 @pytest.mark.parametrize("below", ["sub", "a/b"])
 def test_out_below_a_file_is_refused_before_any_work(trained, tmp_path, capsys, below, command):
-    # the whole run once went ahead, then failed to write with "[Errno 20] Not a directory"
-    # (exit 1)
+    # the whole run once went ahead, then failed with "[Errno 20] Not a directory" (exit 1)
     parent = tmp_path / "G"
     parent.write_bytes(b"not a run\n")
     out = parent / below
