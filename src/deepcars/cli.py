@@ -145,17 +145,22 @@ _OWN_FILES = {"qtable.txt": ("train-tabular", "a training run"),
               "evaluation.txt": ("evaluate", "an evaluation")}
 
 
-def _check_out(args) -> None:
-    """Refuse an `--out` that is not a directory or lies below one that is not, which
-    no run could be written into, or one holding another command's own file, so a run
-    directory never mixes two commands' runs; re-running a command into its own is fine."""
-    path = args.out
+def _check_dir(flag, given, path, command) -> None:
+    """Refuse `given`, the value of `flag`, when `path`, the directory it is written
+    into, is not a directory or lies below one that is not: nothing could be written."""
     while path and not os.path.lexists(path):  # up to the nearest existing path
         path = os.path.dirname(path)
     if path and not os.path.isdir(path):
-        below = "" if path == args.out else f" is below {path}, which"
-        raise CliUsageError(f"--out {args.out}{below} is not a directory; "
-                            f"give {args.command} another --out")
+        below = "" if path == given else f" is below {path}, which"
+        raise CliUsageError(f"{flag} {given}{below} is not a directory; "
+                            f"give {command} another {flag}")
+
+
+def _check_out(args) -> None:
+    """Refuse an `--out` that `_check_dir` refuses, or one holding another command's own
+    file, so a run directory never mixes two commands' runs; re-running a command into
+    its own is fine."""
+    _check_dir("--out", args.out, args.out, args.command)
     for name, (owner, holds) in _OWN_FILES.items():
         if owner != args.command and os.path.exists(os.path.join(args.out, name)):
             raise CliUsageError(f"--out {args.out} holds {holds} ({owner}'s {name}); "
@@ -271,6 +276,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    _check_dir("-o", args.out_file, os.path.dirname(args.out_file), "plot")
     series = [metrics_mod.read_series(_input_file(path, "csv")) for path in args.csv]
     labels = [os.path.splitext(os.path.basename(path))[0] for path in args.csv]
     if args.labels:

@@ -139,7 +139,7 @@ class EnvState:
         return np.frombuffer(self.cells, np.uint8).reshape(-1, self.lanes)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StepOutcome:
     reward: float  # +1.0, or -1.0 exactly on collision
     terminal: bool
@@ -182,6 +182,10 @@ class DeepCarsEnv:
         self._interval = config.spawn_interval
         self._max_steps = config.max_episode_steps
         self._size = config.rows * config.lanes
+        # every outcome step can return, by [collided][terminal][passed], built once and shared
+        self._outcomes = tuple(tuple(tuple(StepOutcome(-1.0 if c else 1.0, t, p, c)
+                                           for p in range(self.lanes + 1))
+                                     for t in (False, True)) for c in range(3))
         self._start(config.seed)
 
     def reset(self, seed: int | None = None) -> None:
@@ -238,9 +242,14 @@ class DeepCarsEnv:
         if type(action) is not int or action not in ACTIONS:  # a plain int is the hot case
             action = check_action(action)
 
-        # lateral move, clamped at the road edges
+        # lateral move, clamped at the road edges; a move is one lane, so only -1 and lanes miss
         lanes = self.lanes
-        self._ego = ego = min(max(self._ego + (action - 1), 0), lanes - 1)
+        ego = self._ego + (action - 1)
+        if ego < 0:
+            ego = 0
+        elif ego == lanes:
+            ego -= 1
+        self._ego = ego
 
         tape, top = self._tape, self._top
         if not top:  # the window reached the tape's start: move it back to the end
@@ -258,7 +267,7 @@ class DeepCarsEnv:
             tape[top : top + lanes] = row
 
         self._terminal = terminal = collided > 0 or steps >= self._max_steps
-        return StepOutcome(-1.0 if collided else 1.0, terminal, passed, collided)
+        return self._outcomes[collided][terminal][passed]
 
 
 def roll_seed(rng: np.random.Generator) -> int:

@@ -2,7 +2,10 @@
 for comparing the two sides of a batch of pairs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,3 +81,48 @@ def test_a_lower_is_better_metric_flips_the_sign():
     slower = _compare([100] * 10, [120] * 10, better="lower")
     assert (slower["median_gain"], slower["head_wins"], slower["base_wins"]) == (-20, 0, 10)
     assert slower["worse_than_bound"] and not slower["claim_holds"]
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+def _refused(tmp_path, capsys, side):
+    """`main`'s exit code and stderr when `--head side` is checked out."""
+    argv = ["--base", str(side), "--head", str(side), "--batch", "tabular-3lane:1",
+            "--seconds", "1", "--out", str(tmp_path / "record.json"),
+            "--workdir", str(tmp_path / "work")]
+    with pytest.raises(SystemExit) as exit_:
+        _tool().main(argv)
+    return exit_.value.code, capsys.readouterr().err
+
+
+def test_a_plain_directory_side_is_refused_by_name(tmp_path, capsys, monkeypatch):
+    # it once crashed with a CalledProcessError traceback from `git rev-parse HEAD`
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    plain = tmp_path / "plain"
+    (plain / "src").mkdir(parents=True)
+    code, err = _refused(tmp_path, capsys, plain)
+    assert code == 2
+    assert f"--base: {plain} is a directory but not the top of a git work tree" in err
+    assert not (tmp_path / "record.json").exists() and not (tmp_path / "work").exists()
+
+
+def test_a_directory_nested_in_a_repository_is_refused_and_its_top_recorded(
+        tmp_path, capsys, monkeypatch):
+    # a nested side once recorded the outer repository's commit beside its own digest
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    repo = tmp_path / "repo"
+    (repo / "inner" / "src").mkdir(parents=True)
+    (repo / "inner" / "src" / "a.py").write_text("x = 1\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "first")
+    code, err = _refused(tmp_path, capsys, repo / "inner")
+    assert code == 2
+    assert f"--base: {repo / 'inner'} is a directory but not the top of a git work tree" in err
+    path, record = _tool().checkout(str(repo), str(tmp_path / "unused"))
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert path == str(repo) and record["commit"] == head and not record["dirty"]

@@ -680,6 +680,23 @@ def test_plot_command_renders_svg(tmp_path):
     assert "<svg" in text and "run-a" in text
 
 
+@pytest.mark.parametrize("below", ["x.svg", "sub/x.svg"])
+def test_plot_out_below_a_file_is_refused_before_rendering(tmp_path, capsys, below):
+    # the chart was once rendered, then failed with "[Errno 20] Not a directory" (exit 1)
+    csv = tmp_path / "s.csv"
+    csv.write_text("window,mean_reward\n0,10.5\n1,12.0\n")
+    parent = tmp_path / "G"
+    parent.write_bytes(b"not a directory\n")
+    out = parent / below
+    assert run(["plot", str(csv), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: -o {out} is below {parent}, which is not a directory; "
+                            "give plot another -o\n")
+    assert sorted(os.listdir(tmp_path)) == ["G", "s.csv"]
+    assert parent.read_bytes() == b"not a directory\n"
+
+
 def test_plot_missing_file_usage_error(tmp_path, capsys):
     code = run(["plot", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "x.svg")])
     assert code == 2

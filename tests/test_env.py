@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import tracemalloc
@@ -467,6 +468,37 @@ def test_clamping_left_at_lane_zero_equals_stay():
             break
         base.set_state(ego_lane=0)
         twin.set_state(ego_lane=0)
+
+
+@pytest.mark.parametrize("lanes", [2, 3, 5, 8])
+def test_clamping_right_at_the_last_lane_equals_stay(lanes):
+    base = DeepCarsEnv(EnvConfig(lanes=lanes))
+    base.reset(123)
+    base.set_state(ego_lane=lanes - 1)
+    twin = copy.deepcopy(base)
+    for _ in range(30):
+        a = base.step(Action.RIGHT)
+        b = twin.step(Action.STAY)
+        assert np.array_equal(base.state.grid, twin.state.grid)
+        assert base.state.ego_lane == twin.state.ego_lane == lanes - 1
+        assert vars(a) == vars(b)
+        if a.terminal:
+            break
+        base.set_state(ego_lane=lanes - 1)
+        twin.set_state(ego_lane=lanes - 1)
+
+
+def test_step_outcomes_are_shared_values_that_cannot_be_assigned():
+    env = DeepCarsEnv(EnvConfig(occupancy_prob=0.0, max_episode_steps=3))
+    first, second = env.step(Action.STAY), env.step(Action.STAY)
+    assert first is second  # an outcome is shared by every step that ends alike
+    for name, value in [("reward", -1.0), ("terminal", True),
+                        ("cars_passed_this_step", 1), ("cars_collided_this_step", 1)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(first, name, value)
+    assert vars(first) == {"reward": 1.0, "terminal": False,
+                           "cars_passed_this_step": 0, "cars_collided_this_step": 0}
+    assert vars(env.step(Action.STAY))["terminal"]
 
 
 def test_determinism_same_seed_same_outcomes():

@@ -68,9 +68,15 @@ def src_lines(root) -> int:
 
 def checkout(side: str, where: str) -> tuple[str, dict]:
     """(directory, record) of `side`, a directory or a git revision. A commit with
-    uncommitted changes is marked dirty; the source digest names what ran."""
+    uncommitted changes is marked dirty; the source digest names what ran. A directory
+    that is not the top of a git work tree is refused (ValueError): it has no commit of
+    its own, and one nested in a repository would be recorded with the outer one's."""
     if os.path.isdir(side):
         path = os.path.abspath(side)
+        top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=path,
+                             capture_output=True, text=True).stdout.strip()
+        if not top or not os.path.samefile(top, path):
+            raise ValueError(f"{side} is a directory but not the top of a git work tree")
         commit = _git(path, "rev-parse", "HEAD")
         dirty = bool(_git(path, "status", "--porcelain", "--untracked-files=no"))
     else:
@@ -149,8 +155,11 @@ def main(argv=None) -> int:
     stamp = time.strftime("%Y%m%dT%H%M%S")
     sides = {}
     for side in ("base", "head"):
-        sides[side] = checkout(getattr(args, side),
-                               os.path.join(args.workdir, f"{stamp}-{os.getpid()}-{side}"))
+        try:
+            sides[side] = checkout(getattr(args, side),
+                                   os.path.join(args.workdir, f"{stamp}-{os.getpid()}-{side}"))
+        except ValueError as exc:
+            parser.error(f"--{side}: {exc}")
     with open(os.path.join(sides["head"][0], "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
 
